@@ -45,10 +45,8 @@ from .engine import (
     green_kernel,
     green_row,
     hitting_time_pmf,
-    killed_kernel,
     origin_visits,
     survival_transform,
-    transition_kernel,
 )
 from .flows import (
     ArrayRepresentation,

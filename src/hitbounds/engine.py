@@ -17,9 +17,10 @@ target set.  From it:
   * gamma: R_beta * w_z / w_o,
   * effective_resistance: r(o, z) = G_1(o, o) / w_o.
 
-Dense direct solves are used up to DENSE_VERTEX_LIMIT vertices; path-shaped
-components fall back to a linear-time banded solve, anything larger to a
-sparse iterative solve with residual tolerance 1e-12.
+K_z is assembled once per graph and kept on the (frozen) graph instance.
+Every system is solved directly: by dense LU (LAPACK) up to _DENSE_MAX
+unknowns, by sparse LU (SuperLU) above, where the per-call set-up of the
+sparse solver no longer dominates.
 
 Expectations are reported as math.inf when the walk cannot reach the target
 set; no exception is raised for that case.
@@ -29,185 +30,81 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import DENSE_VERTEX_LIMIT, GraphError, WeightedGraph
 
 PMF_HORIZON_CAP = 10_000_000
-_SPARSE_MAXITER = 50_000
+# Unknowns up to which dense LAPACK beats sparse LU (it wins to about 120
+# and loses from about 250), and dense pmf steps beat sparse ones.
+_DENSE_MAX = 200
 
 
-def transition_kernel(graph: WeightedGraph, sparse=None):
-    """Full transition kernel K(x, y) = w(x, y) / w_x in canonical order."""
-    if np.any(graph.vertex_weights == 0.0):
-        dead = [graph.labels[i] for i in np.flatnonzero(graph.vertex_weights == 0.0)]
-        raise GraphError(f"zero vertex weight at {dead}; kernel undefined")
-    m = graph.weight_matrix(sparse=sparse)
-    if hasattr(m, "multiply"):
-        from scipy.sparse import diags
+class _Kernel(NamedTuple):
+    """K_z as entries K_z(row[k], col[k]) = p[k]; target rows hold none.
 
-        return diags(1.0 / graph.vertex_weights) @ m
-    return m / graph.vertex_weights[:, None]
-
-
-def killed_kernel(graph: WeightedGraph, sparse=None):
-    """Kernel with target rows zeroed.
-
-    Target vertices may have zero weight (their rows are zero either way);
-    a zero-weight non-target vertex is an error.
+    comp is the origin's component (sorted canonical indices) and at_target
+    marks its targets.
     """
-    bad = [
-        graph.labels[i]
-        for i in np.flatnonzero(graph.vertex_weights == 0.0)
-        if i not in graph.target_indices
-    ]
-    if bad:
-        raise GraphError(f"zero vertex weight at non-target {bad}; kernel undefined")
-    m = graph.weight_matrix(sparse=sparse)
-    scale = np.array(
-        [
-            0.0 if (i in graph.target_indices or w == 0.0) else 1.0 / w
-            for i, w in enumerate(graph.vertex_weights)
-        ]
-    )
-    if hasattr(m, "multiply"):
-        from scipy.sparse import diags
 
-        return diags(scale) @ m
-    return m * scale[:, None]
+    row: np.ndarray
+    col: np.ndarray
+    p: np.ndarray
+    comp: np.ndarray
+    at_target: np.ndarray
 
 
-# -- solver helpers -------------------------------------------------------
+def _kernel(graph: WeightedGraph) -> _Kernel:
+    """The killed kernel of graph, assembled on first use and kept on it."""
+    kz = graph.__dict__.get("_kz")
+    if kz is None:
+        adj = graph.adjacency
+        row = np.repeat(np.arange(graph.n), [len(nbrs) for nbrs in adj])
+        col = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(row))
+        w = np.fromiter(chain.from_iterable(nbrs.values() for nbrs in adj),
+                        dtype=float, count=len(row))
+        is_target = np.zeros(graph.n, dtype=bool)
+        is_target[list(graph.target_indices)] = True
+        live = ~is_target[row]
+        row, col, w = row[live], col[live], w[live]
+        comp = np.array(graph.component_of(graph.origin))
+        kz = _Kernel(row, col, w / graph.vertex_weights[row], comp, is_target[comp])
+        graph._kz = kz
+    return kz
 
 
-def _path_order(graph: WeightedGraph, comp):
-    """Vertex order along a path-shaped component, or None.
+def _restrict(graph: WeightedGraph, idx):
+    """Entries of K_z in rows idx as positions in idx; columns outside idx are -1."""
+    kz = _kernel(graph)
+    loc = np.full(graph.n, -1)
+    loc[idx] = np.arange(len(idx))
+    r = loc[kz.row]
+    rows = r >= 0
+    return r[rows], loc[kz.col[rows]], kz.p[rows]
 
-    A component qualifies when it is a tree of maximum degree two without
-    self-loops; the induced killed system is then tridiagonal.
+
+def _solve(graph: WeightedGraph, beta, idx, rhs, transpose=False):
+    """Solve (I - beta K_z)|idx x = rhs (or the transposed system).
+
+    rhs holds one or more columns indexed by position in idx; the solution
+    is returned the same way.
     """
-    compset = set(comp)
-    degs = []
-    for i in comp:
-        nbrs = [j for j in graph.adjacency[i] if j in compset]
-        if i in nbrs:
-            return None
-        degs.append(len(nbrs))
-        if len(nbrs) > 2:
-            return None
-    if sum(degs) // 2 != len(comp) - 1:
-        return None
-    if len(comp) == 1:
-        return list(comp)
-    start = next(i for i, d in zip(comp, degs) if d == 1)
-    order = [start]
-    prev, cur = None, start
-    while len(order) < len(comp):
-        nxt = [j for j in graph.adjacency[cur] if j != prev and j in compset]
-        if not nxt:
-            return None
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
-def _killed_rows(graph: WeightedGraph, rows):
-    """Killed-kernel row entries {col: prob} for the given canonical rows."""
-    out = {}
-    for i in rows:
-        if i in graph.target_indices or graph.vertex_weights[i] == 0.0:
-            out[i] = {}
-        else:
-            wi = graph.vertex_weights[i]
-            out[i] = {j: w / wi for j, w in graph.adjacency[i].items()}
-    return out
-
-
-def _solve_component(graph: WeightedGraph, beta, comp, rhs, transpose=False):
-    """Solve (I - beta K_z)|comp x = rhs (or the transposed system).
-
-    rhs is indexed by position in comp; the solution is returned the same way.
-    """
-    m = len(comp)
-    pos = {i: k for k, i in enumerate(comp)}
-    rows = _killed_rows(graph, comp)
-    order = _path_order(graph, comp) if m > DENSE_VERTEX_LIMIT else None
-    if order is not None:
-        perm = [pos[i] for i in order]
-        inv = np.empty(m, dtype=int)
-        inv[perm] = np.arange(m)
-        sub = np.zeros(m)  # A[k, k-1] in path order, A = I - beta K_z
-        sup = np.zeros(m)  # A[k, k+1]
-        for k, i in enumerate(order):
-            for j, p in rows[i].items():
-                if j not in pos:
-                    continue  # absorbed column outside the restricted system
-                kj = inv[pos[j]]
-                if kj == k - 1:
-                    sub[k] = -beta * p
-                elif kj == k + 1:
-                    sup[k] = -beta * p
-                elif kj != k:
-                    raise AssertionError("non-tridiagonal entry in path solve")
-        if transpose:
-            # A^T[k, k-1] = A[k-1, k] = sup[k-1]; A^T[k, k+1] = A[k+1, k] = sub[k+1]
-            new_sub = np.zeros(m)
-            new_sup = np.zeros(m)
-            new_sub[1:] = sup[:-1]
-            new_sup[:-1] = sub[1:]
-            sub, sup = new_sub, new_sup
-        from scipy.linalg import solve_banded
-
-        ab = np.zeros((3, m))
-        ab[0, 1:] = sup[:-1]
-        ab[1] = 1.0
-        ab[2, :-1] = sub[1:]
-        x_perm = solve_banded((1, 1), ab, np.asarray(rhs)[perm])
-        out = np.empty(m)
-        out[perm] = x_perm
-        return out
-    if m <= DENSE_VERTEX_LIMIT:
+    r, c, p = _restrict(graph, idx)
+    inner = c >= 0  # absorbed columns outside idx drop out of the system
+    r, c, v = r[inner], c[inner], beta * p[inner]
+    m = len(idx)
+    if m <= _DENSE_MAX:
         a = np.eye(m)
-        for i in comp:
-            for j, p in rows[i].items():
-                if j in pos:
-                    a[pos[i], pos[j]] -= beta * p
-        if transpose:
-            a = a.T
-        return np.linalg.solve(a, np.asarray(rhs, dtype=float))
-    # large non-path component: sparse iterative solve
-    from scipy.sparse import csr_matrix, eye
-    from scipy.sparse.linalg import bicgstab
+        a[r, c] -= v
+        return np.linalg.solve(a.T if transpose else a, rhs)
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
 
-    ii, jj, vv = [], [], []
-    for i in comp:
-        for j, p in rows[i].items():
-            if j not in pos:
-                continue
-            ii.append(pos[i])
-            jj.append(pos[j])
-            vv.append(-beta * p)
-    a = eye(m, format="csr") + csr_matrix((vv, (ii, jj)), shape=(m, m))
-    if transpose:
-        a = a.T.tocsr()
-    b = np.asarray(rhs, dtype=float)
-    try:
-        x, info = bicgstab(a, b, rtol=1e-12, atol=0.0, maxiter=_SPARSE_MAXITER)
-    except TypeError:  # older scipy spells the tolerance 'tol'
-        x, info = bicgstab(a, b, tol=1e-12, atol=0.0, maxiter=_SPARSE_MAXITER)
-    resid = np.linalg.norm(a @ x - b)
-    if info != 0 or not resid <= 1e-10 * max(1.0, np.linalg.norm(b)):
-        raise RuntimeError(
-            f"iterative solve failed (info={info}, residual={resid:.3e})"
-        )
-    return x
-
-
-def _origin_component(graph: WeightedGraph):
-    comp = graph.component_of(graph.origin)
-    has_target = any(i in graph.target_indices for i in comp)
-    return comp, has_target
+    a = identity(m, format="csc") - csc_matrix((v, (r, c)), shape=(m, m))
+    return splu(a).solve(rhs, trans="T" if transpose else "N")
 
 
 def green_row(graph: WeightedGraph, beta: float):
@@ -218,13 +115,11 @@ def green_row(graph: WeightedGraph, beta: float):
     would be infinite).
     """
     _check_beta(beta, allow_one=True)
-    comp, has_target = _origin_component(graph)
-    if beta == 1.0 and not has_target:
+    kz = _kernel(graph)
+    if beta == 1.0 and not kz.at_target.any():
         raise GraphError("targets unreachable from origin: visit counts infinite")
-    rhs = np.zeros(len(comp))
-    rhs[comp.index(graph.origin_index)] = 1.0
-    vals = _solve_component(graph, beta, comp, rhs, transpose=True)
-    return comp, vals
+    rhs = (kz.comp == graph.origin_index).astype(float)
+    return kz.comp.tolist(), _solve(graph, beta, kz.comp, rhs, transpose=True)
 
 
 def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
@@ -236,8 +131,8 @@ def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
     _check_beta(beta, allow_one=True)
     if graph.n > DENSE_VERTEX_LIMIT:
         raise GraphError(
-            f"green_kernel is dense-only (<= {DENSE_VERTEX_LIMIT} vertices); "
-            "use green_row or the banded/sparse paths"
+            f"green_kernel returns a dense matrix (<= {DENSE_VERTEX_LIMIT} "
+            "vertices); use green_row"
         )
     out = np.zeros((graph.n, graph.n))
     remaining = set(range(graph.n))
@@ -248,11 +143,7 @@ def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
         if beta == 1.0 and not has_target:
             out[np.ix_(comp, comp)] = math.inf
             continue
-        rhs = np.eye(len(comp))
-        sol = np.column_stack(
-            [_solve_component(graph, beta, comp, rhs[:, k]) for k in range(len(comp))]
-        )
-        out[np.ix_(comp, comp)] = sol
+        out[np.ix_(comp, comp)] = _solve(graph, beta, comp, np.eye(len(comp)))
     return out
 
 
@@ -272,24 +163,22 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
     Solves (I - K_z) h = 1 on the origin's component minus the targets.
     Returns math.inf when the targets are unreachable.
     """
-    comp, has_target = _origin_component(graph)
-    if not has_target:
+    kz = _kernel(graph)
+    if not kz.at_target.any():
         return math.inf
-    sub = [i for i in comp if i not in graph.target_indices]
-    h = _solve_component(graph, 1.0, sub, np.ones(len(sub)))
-    return float(h[sub.index(graph.origin_index)])
+    alive = kz.comp[~kz.at_target]
+    h = _solve(graph, 1.0, alive, np.ones(len(alive)))
+    return float(h[np.searchsorted(alive, graph.origin_index)])
 
 
 def survival_transform(graph: WeightedGraph, beta: float) -> float:
     """S_beta = E[beta^T] (0 when the targets are unreachable)."""
     _check_beta(beta, allow_one=True)
-    comp, has_target = _origin_component(graph)
-    if not has_target:
+    kz = _kernel(graph)
+    if not kz.at_target.any():
         return 0.0
-    comp, vals = green_row(graph, beta)
-    return float(
-        sum(vals[k] for k, i in enumerate(comp) if i in graph.target_indices)
-    )
+    _, vals = green_row(graph, beta)
+    return float(sum(vals[kz.at_target]))
 
 
 def origin_visits(graph: WeightedGraph, beta: float) -> float:
@@ -298,8 +187,7 @@ def origin_visits(graph: WeightedGraph, beta: float) -> float:
     At beta = 1 this equals w_o * r(o, z); math.inf when z is unreachable.
     """
     _check_beta(beta, allow_one=True)
-    comp, has_target = _origin_component(graph)
-    if beta == 1.0 and not has_target:
+    if beta == 1.0 and not _kernel(graph).at_target.any():
         return math.inf
     comp, vals = green_row(graph, beta)
     return float(vals[comp.index(graph.origin_index)])
@@ -317,8 +205,7 @@ def gamma(graph: WeightedGraph, beta: float) -> float:
 def effective_resistance(graph: WeightedGraph) -> float:
     """r(o, z) = G_1(o, o) / w_o for the network with unit conductance = weight."""
     wo = graph.vertex_weight(graph.origin)
-    comp, has_target = _origin_component(graph)
-    if not has_target:
+    if not _kernel(graph).at_target.any():
         return math.inf
     if wo == 0.0:
         raise GraphError("origin has zero vertex weight")
@@ -372,41 +259,26 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     horizon = int(horizon)
     if horizon < 0:
         raise GraphError("horizon must be nonnegative")
-    comp, _ = _origin_component(graph)
-    alive_idx = [i for i in comp if i not in graph.target_indices]
-    pos = {i: k for k, i in enumerate(alive_idx)}
-    rows = _killed_rows(graph, alive_idx)
-
-    use_sparse = len(alive_idx) > 200
-    if use_sparse:
+    kz = _kernel(graph)
+    alive = kz.comp[~kz.at_target]
+    m = len(alive)
+    r, c, p = _restrict(graph, alive)
+    inner = c >= 0  # from alive rows every other column is a target
+    arrive = np.bincount(r[~inner], weights=p[~inner], minlength=m)
+    r, c, p = r[inner], c[inner], p[inner]
+    if m > _DENSE_MAX:
         from scipy.sparse import csr_matrix
 
-        ii, jj, vv = [], [], []
-        arrive = np.zeros(len(alive_idx))
-        for i in alive_idx:
-            for j, p in rows[i].items():
-                if j in graph.target_indices:
-                    arrive[pos[i]] += p
-                elif j in pos:
-                    ii.append(pos[i])
-                    jj.append(pos[j])
-                    vv.append(p)
-        kz = csr_matrix((vv, (ii, jj)), shape=(len(alive_idx), len(alive_idx)))
-        step = lambda v: v @ kz
+        kz_t = csr_matrix((p, (c, r)), shape=(m, m))
+        step = lambda v: kz_t @ v
     else:
-        kz = np.zeros((len(alive_idx), len(alive_idx)))
-        arrive = np.zeros(len(alive_idx))
-        for i in alive_idx:
-            for j, p in rows[i].items():
-                if j in graph.target_indices:
-                    arrive[pos[i]] += p
-                elif j in pos:
-                    kz[pos[i], pos[j]] += p
-        step = lambda v: v @ kz
+        kz_dense = np.zeros((m, m))
+        kz_dense[r, c] = p
+        step = lambda v: v @ kz_dense
 
     pmf = np.zeros(horizon + 1)
-    v = np.zeros(len(alive_idx))
-    v[pos[graph.origin_index]] = 1.0
+    v = np.zeros(m)
+    v[np.searchsorted(alive, graph.origin_index)] = 1.0
     for k in range(1, horizon + 1):
         pmf[k] = float(v @ arrive)
         v = step(v)

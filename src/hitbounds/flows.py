@@ -91,13 +91,13 @@ def build_flow(graph: WeightedGraph, beta: float) -> LossFlow:
         raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
     work = graph.contract_targets().restrict_accessible()
     comp, vals = engine.green_row(work, beta)
-    kz_rows = engine._killed_rows(work, comp)
+    green = np.zeros(work.n)
+    green[comp] = vals
+    kz = engine._kernel(work)
+    live = green[kz.row] != 0.0
+    row, col = kz.row[live], kz.col[live]
     m = np.zeros((work.n, work.n))
-    for k, i in enumerate(comp):
-        if vals[k] == 0.0:
-            continue
-        for j, p in kz_rows[i].items():
-            m[i, j] = vals[k] * beta * p
+    m[row, col] = green[row] * beta * kz.p[live]
     return LossFlow(beta=beta, labels=work.labels, origin=work.origin,
                     target=work.targets[0], matrix=m, graph=work)
 

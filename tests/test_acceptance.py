@@ -122,6 +122,18 @@ def test_criterion_4_closed_forms(full_corpus):
           f"{commute['worst_gap']:.3e} on 1000 graphs")
 
 
+def test_criterion_4_closed_forms_large_n():
+    """Unit-path and fast-path means at sizes only the sparse solve reaches."""
+    n = 50_000
+    assert abs(engine.expected_hitting_time(unit_path(n)) - n * n) <= 1e-10 * n * n
+    n, drift = 10_000, 1.01
+    closed = fast_path_expected(n, drift)
+    exact = engine.expected_hitting_time(fast_path(n, drift))
+    assert abs(exact - closed) <= 1e-9 * closed
+    print(f"\n[criterion 4, large n] PASS: unit path n=50000, fast path "
+          f"n=10000 relative gap {abs(exact - closed) / closed:.1e}")
+
+
 def test_criterion_5_rate_function_sanity():
     """I_g(m_g) = 0, e^{-I_g(1)} = g/(g+1), convexity of the rate."""
     for g in (1.1, 1.3, 2.0, 3.0, 7.0, 25.0):

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hitbounds
 from hitbounds import engine
-from hitbounds.generators import random_graph, unit_path
+from hitbounds.generators import random_graph, tree_line, unit_path
 from hitbounds.graph import GraphError, WeightedGraph
 
 
@@ -29,13 +33,30 @@ def direct_expected(graph):
     return float(h[pos[graph.origin_index]])
 
 
+def relabel(graph, seed):
+    """The same graph with labels replaced by a seeded permutation of 0..n-1."""
+    perm = np.random.default_rng(seed).permutation(graph.n)
+    new = {x: int(perm[i]) for i, x in enumerate(graph.labels)}
+    return WeightedGraph(
+        [(new[graph.labels[i]], new[graph.labels[j]], w)
+         for i, j, w in graph.edge_list()],
+        origin=new[graph.origin], targets=[new[t] for t in graph.targets],
+        vertices=[new[x] for x in graph.labels])
+
+
+@pytest.fixture(scope="module")
+def deep_tree():
+    """3391 vertices, 3390 of them live: a sparse solve with tiny S_beta."""
+    return tree_line(3, [4] * 28, 30)
+
+
 def test_transition_kernel_row_stochastic():
     g = random_graph(seed=1)
-    k = engine.transition_kernel(g)
-    assert np.allclose(k.sum(axis=1), 1.0)
-    kz = engine.killed_kernel(g)
-    for i in g.target_indices:
-        assert not kz[i].any()
+    kz = engine._kernel(g)
+    sums = np.bincount(kz.row, weights=kz.p, minlength=g.n)
+    for i in range(g.n):
+        expect = 0.0 if i in g.target_indices else 1.0
+        assert sums[i] == pytest.approx(expect, abs=1e-12)
 
 
 def test_expected_unit_paths():
@@ -161,12 +182,12 @@ def test_pmf_matches_survival_transform(corpus_sample):
             engine.survival_transform(g, beta), abs=1e-10)
 
 
-def test_banded_path_solver_large():
+def test_large_path_solve():
     g = unit_path(3000)
     assert engine.expected_hitting_time(g) == pytest.approx(9e6, rel=1e-10)
 
 
-def test_sparse_iterative_solver_large_cycle():
+def test_large_cycle_solve():
     n, k = 2500, 1250
     g = WeightedGraph([(i, (i + 1) % n, 1.0) for i in range(n)],
                       origin=0, targets=[k])
@@ -202,3 +223,50 @@ def test_expected_matches_direct_solve(seed, beta):
     for k, i in enumerate(comp):
         if i in pos:
             assert vals[k] == pytest.approx(row[pos[i]], abs=1e-11)
+
+
+def test_large_tree_solve_independent_of_labels(deep_tree):
+    beta = 0.9999999
+    base = (engine.expected_hitting_time(deep_tree),
+            engine.survival_transform(deep_tree, beta),
+            engine.origin_visits(deep_tree, beta))
+    g = relabel(deep_tree, seed=4)
+    got = (engine.expected_hitting_time(g),
+           engine.survival_transform(g, beta),
+           engine.origin_visits(g, beta))
+    assert got == pytest.approx(base, rel=1e-10)
+
+
+def direct_survival(graph, beta):
+    """Independent oracle: dense solve of S = beta K_z S on alive vertices, S = 1 on z."""
+    comp = graph.component_of(graph.origin)
+    alive = [i for i in comp if i not in graph.target_indices]
+    pos = {i: k for k, i in enumerate(alive)}
+    a = np.eye(len(alive))
+    b = np.zeros(len(alive))
+    for i in alive:
+        wi = graph.vertex_weights[i]
+        for j, w in graph.adjacency[i].items():
+            if j in pos:
+                a[pos[i], pos[j]] -= beta * w / wi
+            else:
+                b[pos[i]] += beta * w / wi
+    return float(np.linalg.solve(a, b)[pos[graph.origin_index]])
+
+
+def test_large_tree_tiny_survival_transform(deep_tree):
+    for beta, approx in ((0.5, 4.74e-27), (0.99, 4.58e-12)):
+        exact = direct_survival(deep_tree, beta)
+        assert exact == pytest.approx(approx, rel=1e-3, abs=0.0)
+        assert engine.survival_transform(deep_tree, beta) == pytest.approx(
+            exact, rel=1e-9, abs=0.0)
+
+
+def test_import_leaves_sparse_solvers_unloaded():
+    # scipy.sparse.linalg costs about 0.1 s and 8 MiB to import; only large
+    # solves should pay for it.
+    src = os.path.dirname(os.path.dirname(hitbounds.__file__))
+    code = ("import sys, hitbounds; "
+            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

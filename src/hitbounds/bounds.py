@@ -21,7 +21,7 @@ check_theorem1 evaluates all bounds on a graph against exact quantities from
 the linear-algebra engine and returns a BoundReport.  Graphs are first
 normalized (targets contracted to one vertex, inaccessible pockets dropped),
 which never loosens the bounds.  Bounds that degenerate (g extremely close
-to 1, or an unreachable target) are reported as vacuous passes.
+to 1, unreachable target, S_beta underflowed to 0) are vacuous passes.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class BoundCheck:
     kind is "mean", "tail" or "transform"; source names the drift parameter
     ("weight_ratio" or "resistance"); param is the grid value (a or beta).
     margin is the relative room to spare: positive means strictly inside the
-    bound.  Vacuous checks pass by construction (degenerate drift).
+    bound.  Vacuous checks (degenerate drift, underflowed S_beta) pass.
     """
 
     kind: str
@@ -261,7 +261,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
     u_a = _drift_log_excess(n, ratio)
     g_a = math.exp(u_a)
     excess_a = math.expm1(u_a)
-    g_b = drift_from_resistance(work)
+    g_b = (work.set_weight() * resistance) ** (1.0 / n)
     excess_b = g_b - 1.0
     drift = {"weight_ratio": g_a, "resistance": g_b}
     if n >= 3:
@@ -324,11 +324,16 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
     betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
     for beta in betas:
         observed = engine.survival_transform(work, beta)
+        underflow = observed == 0.0  # the target is reachable, so S_beta > 0
+        if underflow:
+            report.notes.append(f"transform at beta={beta:.6g}: S_beta underflowed "
+                                "to 0, checks vacuous")
         for source, g, excess in sources:
             bound = transform_upper_bound(n, g, beta)
             passed = observed <= bound * (1.0 + slack) + 1e-300
             margin = (bound - observed) / bound if bound > 0 else math.inf
             report.checks.append(BoundCheck(
                 kind="transform", source=source, g=g, param=float(beta),
-                bound=bound, observed=observed, margin=margin, passed=passed))
+                bound=bound, observed=observed, margin=margin, passed=passed,
+                vacuous=underflow))
     return report

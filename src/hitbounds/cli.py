@@ -414,12 +414,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a decomposition that does not terminate is a failed claim, not bad input
+        return 2 if isinstance(exc, flows.DecompositionError) else 1
 
 
 if __name__ == "__main__":

@@ -115,9 +115,8 @@ def flow_report(graphs, betas=(0.2, 0.5, 0.8)) -> dict:
                 fail(i, beta, "cycle_reversibility", gap)
 
             params = flows.flow_parameters(flow)
-            s_exact = engine.survival_transform(work, beta)
-            r_exact = engine.origin_visits(work, beta)
-            g_exact = engine.gamma(work, beta)
+            exact = engine.WalkParameters.from_graph(work, beta)
+            s_exact, r_exact, g_exact = exact.survival, exact.visits, exact.gamma
             pgap = max(_relative_gap(params.survival, s_exact),
                        _relative_gap(params.visits, r_exact),
                        _relative_gap(params.gamma, g_exact))

@@ -22,6 +22,9 @@ Every system is solved directly: by dense LU (LAPACK) up to _DENSE_MAX
 unknowns, by sparse LU (SuperLU) above, where the per-call set-up of the
 sparse solver no longer dominates.
 
+hitting_time_pmf advances a dense K_z up to 64 steps per NumPy call, from
+powers built by repeated squaring: nonnegative arithmetic, so nothing cancels.
+
 Expectations are reported as math.inf when the walk cannot reach the target
 set; no exception is raised for that case.
 """
@@ -171,14 +174,20 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
     return float(h[np.searchsorted(alive, graph.origin_index)])
 
 
-def survival_transform(graph: WeightedGraph, beta: float) -> float:
-    """S_beta = E[beta^T] (0 when the targets are unreachable)."""
+def _transform_and_visits(graph: WeightedGraph, beta: float) -> tuple:
+    """(S_beta, R_beta) from one Green-row solve."""
     _check_beta(beta, allow_one=True)
     kz = _kernel(graph)
-    if not kz.at_target.any():
-        return 0.0
-    _, vals = green_row(graph, beta)
-    return float(sum(vals[kz.at_target]))
+    if beta == 1.0 and not kz.at_target.any():
+        return 0.0, math.inf
+    comp, vals = green_row(graph, beta)
+    return (float(sum(vals[kz.at_target])),
+            float(vals[comp.index(graph.origin_index)]))
+
+
+def survival_transform(graph: WeightedGraph, beta: float) -> float:
+    """S_beta = E[beta^T] (0 when the targets are unreachable)."""
+    return _transform_and_visits(graph, beta)[0]
 
 
 def origin_visits(graph: WeightedGraph, beta: float) -> float:
@@ -186,11 +195,7 @@ def origin_visits(graph: WeightedGraph, beta: float) -> float:
 
     At beta = 1 this equals w_o * r(o, z); math.inf when z is unreachable.
     """
-    _check_beta(beta, allow_one=True)
-    if beta == 1.0 and not _kernel(graph).at_target.any():
-        return math.inf
-    comp, vals = green_row(graph, beta)
-    return float(vals[comp.index(graph.origin_index)])
+    return _transform_and_visits(graph, beta)[1]
 
 
 def gamma(graph: WeightedGraph, beta: float) -> float:
@@ -252,6 +257,11 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
 
     The default horizon is max(16 E[T], 4 n^2), capped at 1e7.  Iteration
     stops early once the surviving mass underflows to zero.
+
+    Up to _DENSE_MAX live vertices m, a block of b = 2^L <= 64 steps sets
+    pmf[k:k+b] = v A and v = v K^b, A = [a, K a, ..., K^(b-1) a] for the
+    arrival vector a, both from L doublings of about m steps each, with
+    L m <= horizon / 2.  The rest goes in blocks of b/2, ..., 1.
     """
     expected = expected_hitting_time(graph)
     if horizon is None:
@@ -266,24 +276,28 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     inner = c >= 0  # from alive rows every other column is a target
     arrive = np.bincount(r[~inner], weights=p[~inner], minlength=m)
     r, c, p = r[inner], c[inner], p[inner]
+    # blocks[i] = (b, A^T, (K^b)^T) with b = 2^i
     if m > _DENSE_MAX:
         from scipy.sparse import csr_matrix
 
-        kz_t = csr_matrix((p, (c, r)), shape=(m, m))
-        step = lambda v: kz_t @ v
+        blocks = [(1, arrive, csr_matrix((p, (c, r)), shape=(m, m)))]
     else:
         kz_dense = np.zeros((m, m))
         kz_dense[r, c] = p
-        step = lambda v: v @ kz_dense
+        blocks = [(1, arrive, kz_dense.T)]
+        while blocks[-1][0] < 64 and len(blocks) * m <= horizon // 2:
+            b, a_t, q = blocks[-1]
+            blocks.append((2 * b, np.vstack([a_t, a_t @ q]), q @ q))
 
     pmf = np.zeros(horizon + 1)
     v = np.zeros(m)
     v[np.searchsorted(alive, graph.origin_index)] = 1.0
-    for k in range(1, horizon + 1):
-        pmf[k] = float(v @ arrive)
-        v = step(v)
-        if not v.any():
-            break
+    k = 1
+    for b, a_t, q in reversed(blocks):
+        while k + b <= horizon + 1 and v.any():
+            pmf[k:k + b] = a_t @ v
+            v = q @ v
+            k += b
     survival = float(v.sum())
     return HittingStats(expected=expected, pmf=pmf, survival_mass=survival)
 
@@ -300,8 +314,7 @@ class WalkParameters:
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph, beta: float) -> "WalkParameters":
-        s = survival_transform(graph, beta)
-        r = origin_visits(graph, beta)
+        s, r = _transform_and_visits(graph, beta)
         wo = graph.vertex_weight(graph.origin)
         g = r * graph.set_weight() / wo if wo else math.inf
         p = cls(beta=float(beta), survival=s, visits=r, gamma=g, graph=graph)

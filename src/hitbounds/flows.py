@@ -40,6 +40,10 @@ class FlowError(ValueError):
     """Invalid flow, infeasible parameters, or undefined flow quantity."""
 
 
+class DecompositionError(FlowError):
+    """A valid flow whose decomposition did not terminate."""
+
+
 _ADMISSIBLE_SLACK = 1e-12
 
 
@@ -428,7 +432,8 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
     lexicographically smallest shortest admissible path from origin to
     target, and subtract the largest multiple of its path flow that keeps
     the remainder nonnegative.  Each round zeroes at least one edge pair,
-    so the loop terminates; what remains never reaches the target.
+    so the loop terminates; what remains never reaches the target.  A loop
+    that outlasts the edge pairs raises DecompositionError.
     """
     beta = flow.beta
     w = flow.matrix.copy()
@@ -488,7 +493,7 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
             forward=tuple(map(float, forward)),
             backward=tuple(map(float, backward))))
     else:
-        raise FlowError("decomposition failed to terminate")
+        raise DecompositionError("decomposition failed to terminate")
 
     total = float(sum(c.alpha for c in components))
     dead_alpha = max(0.0, 1.0 - total)
@@ -579,8 +584,8 @@ def gamma_chain_bound(graph: WeightedGraph, beta: float) -> tuple:
     if not math.isfinite(d) or d < 2:
         raise FlowError("needs dist(origin, target) >= 2")
     n = int(d) - 1
-    s_total = engine.survival_transform(work, beta)
-    gam = engine.gamma(work, beta)
+    exact = engine.WalkParameters.from_graph(work, beta)
+    s_total, gam = exact.survival, exact.gamma
     sbar = (s_total / beta) ** (1.0 / n)
     if sbar >= beta:
         raise FlowError("survival too large for the chain bound")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitbounds import bounds, engine
-from hitbounds.generators import random_graph, unit_path
+from hitbounds.generators import fast_path, poly_growth_drift, random_graph, unit_path
 from hitbounds.graph import WeightedGraph
 from hitbounds.refwalk import (
     ParameterError,
@@ -114,6 +114,17 @@ def test_check_unreachable_is_vacuous():
     assert report.all_pass
     assert report.expected == math.inf
     assert not report.checks or all(c.vacuous for c in report.checks)
+
+
+def test_check_underflowed_transform_is_vacuous():
+    # S_beta of a 300-edge path underflows to 0 at beta = 0.05, 0.10, 0.15
+    report = bounds.check_theorem1(fast_path(300, poly_growth_drift(300, 0)))
+    under = [c for c in report.checks if c.kind == "transform" and c.observed == 0.0]
+    assert len(under) == 6
+    assert all(c.vacuous and c.passed for c in under)
+    assert all(not c.vacuous for c in report.checks
+               if c.kind == "transform" and c.observed > 0.0)
+    assert sum("beta=0.05: S_beta underflowed" in note for note in report.notes) == 1
 
 
 def test_check_adjacent_target_is_trivial():

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from hitbounds import cli, engine
@@ -111,6 +112,22 @@ def test_decompose_reports_broken_reconstruction(path5, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.flows, "decompose", lambda flow: Broken())
     assert run(["decompose", str(path5), "--beta", "0.5",
                 "--out", str(tmp_path / "d.json")]) == 2
+
+
+def test_decompose_nontermination_exits_two(path5, capsys, monkeypatch):
+    class NoEdgePairs:
+        """numpy, except that it counts no edges: the peeling loop gets one round."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def count_nonzero(a):
+            return 0
+
+    monkeypatch.setattr(cli.flows, "np", NoEdgePairs())
+    assert run(["decompose", str(path5), "--beta", "0.5"]) == 2
+    assert "failed to terminate" in capsys.readouterr().err
 
 
 def test_generate_families(tmp_path):

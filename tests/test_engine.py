@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import hitbounds
 from hitbounds import engine
-from hitbounds.generators import random_graph, tree_line, unit_path
+from hitbounds.generators import (
+    fast_path, poly_growth_drift, random_graph, tree_line, unit_path)
 from hitbounds.graph import GraphError, WeightedGraph
 
 
@@ -31,6 +32,30 @@ def direct_expected(graph):
                 a[pos[i], pos[j]] -= w / wi
     h = np.linalg.solve(a, np.ones(len(alive)))
     return float(h[pos[graph.origin_index]])
+
+
+def stepped_pmf(graph, horizon):
+    """Reference pmf and survival mass: one dense step per loop iteration."""
+    comp = graph.component_of(graph.origin)
+    alive = [i for i in comp if i not in graph.target_indices]
+    pos = {i: k for k, i in enumerate(alive)}
+    kz = np.zeros((len(alive), len(alive)))
+    arrive = np.zeros(len(alive))
+    for i in alive:
+        for j, w in graph.adjacency[i].items():
+            if j in pos:
+                kz[pos[i], pos[j]] += w / graph.vertex_weights[i]
+            else:
+                arrive[pos[i]] += w / graph.vertex_weights[i]
+    pmf = np.zeros(horizon + 1)
+    v = np.zeros(len(alive))
+    v[pos[graph.origin_index]] = 1.0
+    for k in range(1, horizon + 1):
+        pmf[k] = v @ arrive
+        v = v @ kz
+        if not v.any():
+            break
+    return pmf, float(v.sum())
 
 
 def relabel(graph, seed):
@@ -180,6 +205,46 @@ def test_pmf_matches_survival_transform(corpus_sample):
         direct = float(np.polynomial.polynomial.polyval(beta, stats.pmf))
         assert direct == pytest.approx(
             engine.survival_transform(g, beta), abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def pmf_graphs(corpus_sample):
+    return ([unit_path(60), fast_path(120, poly_growth_drift(120, 1.0))]
+            + corpus_sample[:50])
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 63, 64, 65, 1000, None])
+def test_blocked_pmf_matches_stepping(pmf_graphs, horizon):
+    for g in pmf_graphs:
+        stats = engine.hitting_time_pmf(g, horizon=horizon)
+        pmf, survival = stepped_pmf(g, stats.horizon)
+        assert np.array_equal(stats.pmf == 0.0, pmf == 0.0)
+        np.testing.assert_allclose(stats.pmf, pmf, rtol=1e-11, atol=0.0)
+        assert stats.survival_mass == pytest.approx(survival, rel=1e-11, abs=0.0)
+    # unit_path(60) is bipartite with an even distance: odd times are impossible
+    assert not engine.hitting_time_pmf(pmf_graphs[0], horizon=horizon).pmf[1::2].any()
+
+
+def test_pmf_stops_once_walk_is_absorbed():
+    # the origin's only neighbour is the target: T = 1 surely
+    g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], origin=0, targets=[1])
+    stats = engine.hitting_time_pmf(g, horizon=500)
+    assert stats.pmf[1] == 1.0
+    assert stats.pmf.sum() == 1.0
+    assert stats.survival_mass == 0.0
+
+
+def test_walk_parameters_take_one_solve(monkeypatch):
+    calls = []
+    solve = engine._solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_solve", counting)
+    engine.WalkParameters.from_graph(random_graph(seed=3), 0.5)
+    assert len(calls) == 1
 
 
 def test_large_path_solve():

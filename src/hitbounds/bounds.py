@@ -245,7 +245,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
     a bound with an exact value.  Tail thresholds beyond horizon_cap steps
     are skipped (noted in the report).
     """
-    work = graph.contract_targets().restrict_accessible()
+    work = graph.normalized()
     d = work.distance(work.origin)
     expected = engine.expected_hitting_time(work)
     if not math.isfinite(d) or not math.isfinite(expected):

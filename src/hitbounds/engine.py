@@ -38,9 +38,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DENSE_VERTEX_LIMIT, GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph
 
 PMF_HORIZON_CAP = 10_000_000
+# Largest graph green_kernel returns as a dense matrix.
+DENSE_VERTEX_LIMIT = 2000
 # Unknowns up to which dense LAPACK beats sparse LU (it wins to about 120
 # and loses from about 250), and dense pmf steps beat sparse ones.
 _DENSE_MAX = 200

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .graph import GraphError, WeightedGraph, _label_key
+from .graph import GraphError, WeightedGraph, _hops, _label_key
 
 
 class FlowError(ValueError):
@@ -93,7 +93,7 @@ def build_flow(graph: WeightedGraph, beta: float) -> LossFlow:
     """
     if not 0.0 < beta < 1.0:
         raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
-    work = graph.contract_targets().restrict_accessible()
+    work = graph.normalized()
     comp, vals = engine.green_row(work, beta)
     green = np.zeros(work.n)
     green[comp] = vals
@@ -433,15 +433,19 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
     target, and subtract the largest multiple of its path flow that keeps
     the remainder nonnegative.  Each round zeroes at least one edge pair,
     so the loop terminates; what remains never reaches the target.  A loop
-    that outlasts the edge pairs raises DecompositionError.
+    that outlasts the edge pairs raises DecompositionError.  A graph flow
+    with no flow into a reachable target has underflowed, and raises
+    FlowError.
     """
     beta = flow.beta
     w = flow.matrix.copy()
-    n = len(flow.labels)
     oi, zi = flow.origin_index, flow.target_index
     scale = float(w.max())
     if scale > 0.0 and float(w[zi].max()) > 1e-12 * scale:
         raise FlowError("flow out of the target: not an absorbed-walk flow")
+    if (flow.graph is not None and not w[:, zi].any()
+            and math.isfinite(flow.graph.distance(flow.graph.origin))):
+        raise FlowError(f"flow into the target underflowed to 0.0 at beta={beta}")
     w[zi, :] = 0.0
     components = []
     edge_pairs = int(np.count_nonzero(w + w.T) // 2)
@@ -449,15 +453,8 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
 
     for _ in range(edge_pairs + 1):
         admissible = (w > 0.0) & (w.T < beta * w * (1.0 - _ADMISSIBLE_SLACK))
-        dist = np.full(n, -1)
-        dist[zi] = 0
-        queue = [zi]
-        for j in queue:
-            for i in np.flatnonzero(admissible[:, j]):
-                i = int(i)
-                if dist[i] < 0:
-                    dist[i] = dist[j] + 1
-                    queue.append(i)
+        # hops to the target along admissible edges, searched backwards
+        dist = _hops([np.flatnonzero(col) for col in admissible.T], (zi,))
         if dist[oi] < 0:
             break
         path = [oi]
@@ -579,7 +576,7 @@ def gamma_chain_bound(graph: WeightedGraph, beta: float) -> tuple:
     """
     if not 0.0 < beta < 1.0:
         raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
-    work = graph.contract_targets().restrict_accessible()
+    work = graph.normalized()
     d = work.distance(work.origin)
     if not math.isfinite(d) or d < 2:
         raise FlowError("needs dist(origin, target) >= 2")

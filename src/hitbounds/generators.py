@@ -26,23 +26,10 @@ import math
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph, _label_key
+from .graph import GraphError, WeightedGraph, _hops, _label_key
 from .refwalk import ParameterError, _as_int
 
 _MAX_VERTICES = 2_000_000
-
-
-def _bfs_distances(adjacency, start):
-    """Hop distances from start over an adjacency list; -1 = unreachable."""
-    dist = [-1] * len(adjacency)
-    dist[start] = 0
-    queue = [start]
-    for i in queue:
-        for j in adjacency[i]:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return dist
 
 
 _check_int = _as_int
@@ -258,11 +245,10 @@ def random_graph(seed, max_vertices: int = 12, weight_range=(0.1, 10.0),
         edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
 
         graph = WeightedGraph(edges, origin=0, targets=[n - 1])
-        if len(graph.component_of(0)) < n:
+        all_dists = [_hops(graph.adjacency, (o,)) for o in range(n)]
+        if -1 in all_dists[0]:
             continue  # chords plus tree should connect everything; be safe
-        adjacency = [sorted(nbrs) for nbrs in graph.adjacency]
         far_pairs = []
-        all_dists = [_bfs_distances(adjacency, o) for o in range(n)]
         for o in range(n):
             far_pairs.extend((o, v) for v in range(n)
                              if v != o and all_dists[o][v] >= min_distance)

@@ -23,11 +23,8 @@ import json
 import math
 import os
 import tempfile
-from collections import deque
 
 import numpy as np
-
-DENSE_VERTEX_LIMIT = 2000
 
 
 class GraphError(ValueError):
@@ -44,11 +41,32 @@ def _label_key(label):
     return (0, label, "") if isinstance(label, int) else (1, 0, label)
 
 
+def _hops(adjacency, sources, blocked=()):
+    """Breadth-first hop distances from a source set; -1 marks the unreachable.
+
+    adjacency[i] iterates the neighbours of vertex i.  Blocked vertices get a
+    distance but are not expanded from, so no counted path passes through one.
+    """
+    dist = [-1] * len(adjacency)
+    queue = list(sources)
+    for i in queue:
+        dist[i] = 0
+    for i in queue:
+        if i in blocked:
+            continue
+        for j in adjacency[i]:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dist
+
+
 class WeightedGraph:
     """Immutable weighted graph with origin and targets.
 
     Treat instances as frozen: all derived data (canonical indexing, vertex
-    weights, adjacency) is computed once at construction.
+    weights, adjacency) is computed once at construction, and the normalized
+    graph and the killed kernel are cached on the instance at first use.
     """
 
     def __init__(self, edges, origin, targets, vertices=(), metadata=None):
@@ -160,57 +178,16 @@ class WeightedGraph:
         if targets is None:
             goal = self.target_indices
         elif isinstance(targets, (int, str)):
-            goal = {self.index[targets]}
+            goal = (self.index[targets],)
         else:
-            goal = {self.index[t] for t in targets}
-        start = self.index[x]
-        if start in goal:
-            return 0
-        seen = {start}
-        queue = deque([(start, 0)])
-        while queue:
-            i, d = queue.popleft()
-            for j in sorted(self.adjacency[i]):
-                if j in seen:
-                    continue
-                if j in goal:
-                    return d + 1
-                seen.add(j)
-                queue.append((j, d + 1))
-        return math.inf
+            goal = [self.index[t] for t in targets]
+        d = _hops(self.adjacency, goal)[self.index[x]]
+        return math.inf if d < 0 else d
 
     def component_of(self, x):
         """Canonical indices of the connected component containing x (sorted)."""
-        start = self.index[x]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in self.adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return sorted(seen)
-
-    def weight_matrix(self, sparse=None):
-        """Symmetric weight matrix in canonical order (dense or CSR)."""
-        if sparse is None:
-            sparse = self.n > DENSE_VERTEX_LIMIT
-        if not sparse:
-            m = np.zeros((self.n, self.n))
-            for i, nbrs in enumerate(self.adjacency):
-                for j, w in nbrs.items():
-                    m[i, j] = w
-            return m
-        from scipy.sparse import csr_matrix
-
-        rows, cols, vals = [], [], []
-        for i, nbrs in enumerate(self.adjacency):
-            for j, w in nbrs.items():
-                rows.append(i)
-                cols.append(j)
-                vals.append(w)
-        return csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        dist = _hops(self.adjacency, (self.index[x],))
+        return [i for i, d in enumerate(dist) if d >= 0]
 
     # -- derived graphs ---------------------------------------------------
 
@@ -231,10 +208,14 @@ class WeightedGraph:
         Parallel edges produced by the merge are aggregated by summing.  The
         hitting time of the target set from the origin has the same law before
         and after.  The merged vertex keeps the canonically smallest target
-        label.
+        label.  A graph with one target and no self-loop on it is returned
+        as is.
         """
         merged = self.targets[0]
         tset = self.target_indices
+        zi = self.index[merged]
+        if len(tset) == 1 and zi not in self.adjacency[zi]:
+            return self
         acc = {}
         for i, j, w in self.edge_list():
             u_t, v_t = i in tset, j in tset
@@ -259,18 +240,13 @@ class WeightedGraph:
         Target vertices are always kept.  The result satisfies the standing
         assumption that every surviving non-target vertex is accessible from
         the origin without first entering the target set; the hitting law from
-        the origin is unchanged.
+        the origin is unchanged.  A graph that loses no vertex is returned as is.
         """
         tset = self.target_indices
-        seen = {self.origin_index}
-        queue = deque([self.origin_index])
-        while queue:
-            i = queue.popleft()
-            for j in self.adjacency[i]:
-                if j not in seen and j not in tset:
-                    seen.add(j)
-                    queue.append(j)
-        keep = seen | tset
+        dist = _hops(self.adjacency, (self.origin_index,), blocked=tset)
+        keep = {i for i, d in enumerate(dist) if d >= 0} | tset
+        if len(keep) == self.n:
+            return self
         edges = [
             (self.labels[i], self.labels[j], w)
             for i, j, w in self.edge_list()
@@ -283,6 +259,18 @@ class WeightedGraph:
             vertices=[self.labels[i] for i in sorted(keep)],
             metadata=self.metadata,
         )
+
+    def normalized(self) -> "WeightedGraph":
+        """Targets contracted, then inaccessible pockets dropped; kept on the graph.
+
+        Neither step changes the hitting law from the origin.  A normal graph
+        is its own normalization, so it also shares its cached killed kernel.
+        """
+        work = self.__dict__.get("_normalized")
+        if work is None:
+            work = self.contract_targets().restrict_accessible()
+            self._normalized = work
+        return work
 
 
 # -- file format ----------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, _hops
 from .refwalk import BiasedWalk, ParameterError, _as_int
 
 _BUFFER_COLS = 256
@@ -280,14 +280,7 @@ def _escape_biased(walk: BiasedWalk, config: SimConfig) -> EscapeSample:
 
 
 def _hop_distances(graph: WeightedGraph) -> np.ndarray:
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[graph.origin_index] = 0
-    queue = [graph.origin_index]
-    for i in queue:
-        for j in graph.adjacency[i]:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(j)
+    dist = np.array(_hops(graph.adjacency, (graph.origin_index,)), dtype=np.int64)
     if (dist < 0).any():
         raise GraphError("escape distances need a connected graph")
     return dist

@@ -7,7 +7,7 @@ import pytest
 
 from hitbounds import cli, engine
 from hitbounds.graph import parse, read_graph_file, serialize, write_graph_file
-from hitbounds.generators import unit_path
+from hitbounds.generators import fast_path, unit_path
 
 
 def run(argv):
@@ -128,6 +128,14 @@ def test_decompose_nontermination_exits_two(path5, capsys, monkeypatch):
     monkeypatch.setattr(cli.flows, "np", NoEdgePairs())
     assert run(["decompose", str(path5), "--beta", "0.5"]) == 2
     assert "failed to terminate" in capsys.readouterr().err
+
+
+def test_decompose_underflowed_flow_exits_one(tmp_path, capsys):
+    # S_0.5 of this path underflows to 0.0, though its target is reachable
+    p = tmp_path / "fast.json"
+    write_graph_file(fast_path(1000, 1.01), p)
+    assert run(["decompose", str(p), "--beta", "0.5"]) == 1
+    assert "underflowed to 0.0 at beta=0.5" in capsys.readouterr().err
 
 
 def test_generate_families(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitbounds import engine, flows
+from hitbounds import corpus, engine, flows
 from hitbounds.flows import (
     FlowError,
     LossFlow,
@@ -318,3 +318,19 @@ def test_decompose_random_graphs(seed, beta):
     laws = dec.laws()
     assert laws["reconstruction_error"] < 1e-12 * max(1.0, laws["scale"])
     assert laws["alpha_within_unit"] and laws["paths_at_least_distance"]
+
+
+def test_flow_report_assembles_one_kernel(monkeypatch):
+    graph = corpus.corpus_graph(7)  # two targets: normalizing builds a new graph
+    assert len(graph.targets) == 2
+    built = []
+    kernel = engine._Kernel
+    monkeypatch.setattr(engine, "_Kernel", lambda *a: built.append(a) or kernel(*a))
+    assert corpus.flow_report([graph])["all_pass"]
+    assert len(built) == 1
+
+
+def test_decompose_unreachable_target_is_all_dead():
+    g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)], origin=0, targets=[3])
+    dec = decompose(build_flow(g, 0.5))
+    assert dec.components == [] and dec.dead_alpha == 1.0

@@ -1,14 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitbounds import montecarlo
+from hitbounds.corpus import corpus_graph
+from hitbounds.generators import tree_line
 from hitbounds.graph import (
     GraphError,
     ParseError,
     WeightedGraph,
+    _hops,
     parse,
     read_graph_file,
     serialize,
@@ -229,3 +234,74 @@ def test_normalization_preserves_distance(g):
     d = g.distance(g.origin)
     work = g.contract_targets().restrict_accessible()
     assert work.distance(work.origin) == d
+
+
+def hop_oracle(graph, avoid=frozenset()):
+    """All-pairs hop counts by Floyd-Warshall over paths with no interior vertex in avoid."""
+    d = np.full((graph.n, graph.n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for i, j, _ in graph.edge_list():
+        if i != j:
+            d[i, j] = d[j, i] = 1.0
+    for k in range(graph.n):
+        if k not in avoid:
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+def relabelled(graph, seed):
+    perm = np.random.default_rng(seed).permutation(graph.n)
+    new = {x: int(perm[i]) for i, x in enumerate(graph.labels)}
+    return WeightedGraph(
+        [(new[graph.labels[i]], new[graph.labels[j]], w)
+         for i, j, w in graph.edge_list()],
+        origin=new[graph.origin], targets=[new[t] for t in graph.targets],
+        vertices=[new[x] for x in graph.labels])
+
+
+@pytest.mark.parametrize("graphs", ["corpus", "tree_line"])
+def test_hop_distances_match_oracle(graphs):
+    if graphs == "corpus":
+        cases = [corpus_graph(i) for i in range(100)]
+    else:
+        cases = [relabelled(tree_line(2, [4] * 5 + [2] * 2, 8), seed=3)]
+    for g in cases:
+        d = hop_oracle(g)
+        tset = sorted(g.target_indices)
+        for i, x in enumerate(g.labels):
+            assert g.distance(x) == d[i, tset].min()
+            assert g.component_of(x) == np.flatnonzero(np.isfinite(d[i])).tolist()
+        o = g.origin_index
+        free = hop_oracle(g, avoid=g.target_indices)[o]
+        hops = _hops(g.adjacency, [o], blocked=g.target_indices)
+        assert hops == [int(v) if math.isfinite(v) else -1 for v in free]
+        keep = set(np.flatnonzero(np.isfinite(free)).tolist()) | g.target_indices
+        assert g.restrict_accessible().labels == tuple(g.labels[i] for i in sorted(keep))
+        assert np.isfinite(d[o]).all()
+        assert montecarlo._hop_distances(g).tolist() == d[o].astype(int).tolist()
+
+
+def test_normalized_is_cached_and_idempotent():
+    g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (1, 3, 2.0), (3, 4, 1.0),
+                       (2, 2, 0.5)], origin=0, targets=[2, 3])
+    w = g.normalized()
+    assert w is not g and g.normalized() is w
+    assert w.normalized() is w
+    assert w.contract_targets() is w and w.restrict_accessible() is w
+    assert 4 not in w.labels and w.targets == (2,)
+
+
+def test_normalized_matches_contract_then_restrict():
+    graphs = [corpus_graph(i) for i in range(200)]
+    # a self-loop on a target: contraction must drop it
+    graphs += [WeightedGraph([(g.labels[i], g.labels[j], w) for i, j, w in g.edge_list()]
+                             + [(t, t, 1.0) for t in g.targets], g.origin, g.targets)
+               for g in graphs[:20]]
+    assert any(len(g.targets) > 1 for g in graphs)
+    assert any(t in g.adjacency[t] for g in graphs for t in g.target_indices)
+    for g in graphs:
+        w = g.normalized()
+        assert g.normalized() is w
+        (z,) = w.target_indices
+        assert z not in w.adjacency[z]
+        assert serialize(w) == serialize(g.contract_targets().restrict_accessible())

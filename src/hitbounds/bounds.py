@@ -21,7 +21,8 @@ check_theorem1 evaluates all bounds on a graph against exact quantities from
 the linear-algebra engine and returns a BoundReport.  Graphs are first
 normalized (targets contracted to one vertex, inaccessible pockets dropped),
 which never loosens the bounds.  Bounds that degenerate (g extremely close
-to 1, unreachable target, S_beta underflowed to 0) are vacuous passes.
+to 1, unreachable target, S_beta or a tail probability underflowed to 0)
+are vacuous passes.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ class BoundCheck:
     kind is "mean", "tail" or "transform"; source names the drift parameter
     ("weight_ratio" or "resistance"); param is the grid value (a or beta).
     margin is the relative room to spare: positive means strictly inside the
-    bound.  Vacuous checks (degenerate drift, underflowed S_beta) pass.
+    bound.  Vacuous checks (degenerate drift, underflowed S_beta or tail
+    probability) pass.
     """
 
     kind: str
@@ -315,11 +317,18 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
                 continue
             bound = tail_upper_bound(n, g, a)
             observed = float(cdf[int(threshold)]) if cdf is not None else 0.0
+            # threshold >= d, so P(T <= threshold) >= P(T = d) > 0
+            underflow = observed == 0.0
+            if underflow:
+                report.notes.append(
+                    f"{source}: tail at a={a:.6g}: P(T <= {threshold}) "
+                    "underflowed to 0, check vacuous")
             passed = observed <= bound * (1.0 + slack) + 1e-300
             margin = (bound - observed) / bound if bound > 0 else math.inf
             report.checks.append(BoundCheck(
                 kind="tail", source=source, g=g, param=float(a), bound=bound,
-                observed=observed, margin=margin, passed=passed))
+                observed=observed, margin=margin, passed=passed,
+                vacuous=underflow))
 
     betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
     for beta in betas:

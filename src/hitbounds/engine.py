@@ -7,17 +7,19 @@ beta in (0, 1], the resolvent-type kernel
     G_beta = sum_k (beta K_z)^k,   solved as (I - beta K_z) X = I,
 
 collects the expected discounted visit counts of the walk absorbed at the
-target set.  From it:
+target set.  WalkParameters.from_graph reads off its row at the origin:
 
   * survival_transform: S_beta = E[beta^T], T the hitting time of the targets
     (equivalently the probability that a walk killed with rate 1-beta per
     step survives to reach them),
   * origin_visits: R_beta = G_beta(o, o), the expected discounted number of
     visits to the origin, initial visit included; R_1 = w_o * r(o, z),
-  * gamma: R_beta * w_z / w_o,
+  * gamma: R_beta * w_z / w_o (math.inf for a zero-weight origin),
   * effective_resistance: r(o, z) = G_1(o, o) / w_o.
 
-K_z is assembled once per graph and kept on the (frozen) graph instance.
+Each graph keeps one walk record (_Kernel) on its frozen instance: K_z, E[T]
+and the Green row per beta, each solved once, on first use.  The pmf is not
+kept: through the block sizes its last bits depend on the horizon.
 Every system is solved directly: by dense LU (LAPACK) up to _DENSE_MAX
 unknowns, by sparse LU (SuperLU) above, where the per-call set-up of the
 sparse solver no longer dominates.
@@ -34,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +49,13 @@ DENSE_VERTEX_LIMIT = 2000
 _DENSE_MAX = 200
 
 
-class _Kernel(NamedTuple):
-    """K_z as entries K_z(row[k], col[k]) = p[k]; target rows hold none.
+@dataclass(eq=False)
+class _Kernel:
+    """The walk record of one graph: K_z and every solution found on it.
 
-    comp is the origin's component (sorted canonical indices) and at_target
-    marks its targets.
+    K_z(row[k], col[k]) = p[k]; target rows hold none.  comp is the origin's
+    component (sorted canonical indices), at_target marks its targets,
+    expected is E[T] and rows[beta] the read-only Green row G_beta(o, comp).
     """
 
     row: np.ndarray
@@ -60,10 +63,12 @@ class _Kernel(NamedTuple):
     p: np.ndarray
     comp: np.ndarray
     at_target: np.ndarray
+    expected: float | None = None
+    rows: dict = field(default_factory=dict)
 
 
 def _kernel(graph: WeightedGraph) -> _Kernel:
-    """The killed kernel of graph, assembled on first use and kept on it."""
+    """The walk record of graph, assembled on first use and kept on it."""
     kz = graph.__dict__.get("_kz")
     if kz is None:
         adj = graph.adjacency
@@ -115,16 +120,20 @@ def _solve(graph: WeightedGraph, beta, idx, rhs, transpose=False):
 def green_row(graph: WeightedGraph, beta: float):
     """G_beta(origin, x) for x in the origin's component.
 
-    Returns (component canonical indices, values).  Requires beta in (0, 1];
-    at beta = 1 the component must contain a target (otherwise every entry
-    would be infinite).
+    Returns (component canonical indices, read-only values).  Requires beta
+    in (0, 1]; at beta = 1 the component must contain a target (otherwise
+    every entry would be infinite).
     """
     _check_beta(beta, allow_one=True)
     kz = _kernel(graph)
-    if beta == 1.0 and not kz.at_target.any():
-        raise GraphError("targets unreachable from origin: visit counts infinite")
-    rhs = (kz.comp == graph.origin_index).astype(float)
-    return kz.comp.tolist(), _solve(graph, beta, kz.comp, rhs, transpose=True)
+    vals = kz.rows.get(beta)
+    if vals is None:
+        if beta == 1.0 and not kz.at_target.any():
+            raise GraphError("targets unreachable from origin: visit counts infinite")
+        rhs = (kz.comp == graph.origin_index).astype(float)
+        kz.rows[beta] = vals = _solve(graph, beta, kz.comp, rhs, transpose=True)
+        vals.flags.writeable = False
+    return kz.comp.tolist(), vals
 
 
 def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
@@ -169,27 +178,18 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
     Returns math.inf when the targets are unreachable.
     """
     kz = _kernel(graph)
-    if not kz.at_target.any():
-        return math.inf
-    alive = kz.comp[~kz.at_target]
-    h = _solve(graph, 1.0, alive, np.ones(len(alive)))
-    return float(h[np.searchsorted(alive, graph.origin_index)])
-
-
-def _transform_and_visits(graph: WeightedGraph, beta: float) -> tuple:
-    """(S_beta, R_beta) from one Green-row solve."""
-    _check_beta(beta, allow_one=True)
-    kz = _kernel(graph)
-    if beta == 1.0 and not kz.at_target.any():
-        return 0.0, math.inf
-    comp, vals = green_row(graph, beta)
-    return (float(sum(vals[kz.at_target])),
-            float(vals[comp.index(graph.origin_index)]))
+    if kz.expected is None:
+        kz.expected = math.inf
+        if kz.at_target.any():
+            alive = kz.comp[~kz.at_target]
+            h = _solve(graph, 1.0, alive, np.ones(len(alive)))
+            kz.expected = float(h[np.searchsorted(alive, graph.origin_index)])
+    return kz.expected
 
 
 def survival_transform(graph: WeightedGraph, beta: float) -> float:
     """S_beta = E[beta^T] (0 when the targets are unreachable)."""
-    return _transform_and_visits(graph, beta)[0]
+    return WalkParameters.from_graph(graph, beta).survival
 
 
 def origin_visits(graph: WeightedGraph, beta: float) -> float:
@@ -197,26 +197,18 @@ def origin_visits(graph: WeightedGraph, beta: float) -> float:
 
     At beta = 1 this equals w_o * r(o, z); math.inf when z is unreachable.
     """
-    return _transform_and_visits(graph, beta)[1]
+    return WalkParameters.from_graph(graph, beta).visits
 
 
 def gamma(graph: WeightedGraph, beta: float) -> float:
-    """Gamma_beta = R_beta * w_z / w_o."""
-    r = origin_visits(graph, beta)
-    wo = graph.vertex_weight(graph.origin)
-    if wo == 0.0:
-        raise GraphError("origin has zero vertex weight")
-    return r * graph.set_weight() / wo
+    """Gamma_beta = R_beta * w_z / w_o; math.inf when w_o = 0."""
+    return WalkParameters.from_graph(graph, beta).gamma
 
 
 def effective_resistance(graph: WeightedGraph) -> float:
     """r(o, z) = G_1(o, o) / w_o for the network with unit conductance = weight."""
-    wo = graph.vertex_weight(graph.origin)
-    if not _kernel(graph).at_target.any():
-        return math.inf
-    if wo == 0.0:
-        raise GraphError("origin has zero vertex weight")
-    return origin_visits(graph, 1.0) / wo
+    r = origin_visits(graph, 1.0)
+    return r / graph.vertex_weight(graph.origin) if math.isfinite(r) else math.inf
 
 
 # -- distributions --------------------------------------------------------
@@ -227,13 +219,11 @@ class HittingStats:
     """Exact hitting-time distribution summary.
 
     pmf[k] = P(T = k) for k = 0..horizon; survival_mass = P(T > horizon).
-    transform_samples holds (beta, S_beta) pairs when requested.
     """
 
     expected: float
     pmf: np.ndarray
     survival_mass: float
-    transform_samples: tuple = ()
 
     @property
     def horizon(self) -> int:
@@ -316,10 +306,14 @@ class WalkParameters:
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph, beta: float) -> "WalkParameters":
-        s, r = _transform_and_visits(graph, beta)
-        wo = graph.vertex_weight(graph.origin)
-        g = r * graph.set_weight() / wo if wo else math.inf
-        p = cls(beta=float(beta), survival=s, visits=r, gamma=g, graph=graph)
+        kz = _kernel(graph)
+        s, r = 0.0, math.inf  # at beta = 1 with the targets unreachable
+        if beta != 1.0 or kz.at_target.any():
+            comp, vals = green_row(graph, beta)
+            s = float(sum(vals[kz.at_target]))
+            r = float(vals[comp.index(graph.origin_index)])
+        p = cls(beta=float(beta), survival=s, visits=r,
+                gamma=_gamma(graph, r), graph=graph)
         p.validate()
         return p
 
@@ -328,8 +322,13 @@ class WalkParameters:
             raise GraphError(f"survival {self.survival} outside [0, 1]")
         if self.visits < 1.0 - tol:
             raise GraphError(f"visit count {self.visits} below 1")
-        if self.graph is not None and math.isfinite(self.visits):
-            wo = self.graph.vertex_weight(self.graph.origin)
-            expect = self.visits * self.graph.set_weight() / wo
-            if abs(self.gamma - expect) > 1e-12 * max(1.0, abs(expect)):
-                raise GraphError("gamma inconsistent with visits * w_z / w_o")
+        expect = math.inf if self.graph is None else _gamma(self.graph, self.visits)
+        if (math.isfinite(expect)
+                and abs(self.gamma - expect) > 1e-12 * max(1.0, expect)):
+            raise GraphError("gamma inconsistent with visits * w_z / w_o")
+
+
+def _gamma(graph: WeightedGraph, visits: float) -> float:
+    """Gamma = R * w_z / w_o; math.inf when w_o = 0, and for R = inf."""
+    wo = graph.vertex_weight(graph.origin)
+    return visits * graph.set_weight() / wo if wo else math.inf

@@ -65,8 +65,10 @@ class WeightedGraph:
     """Immutable weighted graph with origin and targets.
 
     Treat instances as frozen: all derived data (canonical indexing, vertex
-    weights, adjacency) is computed once at construction, and the normalized
-    graph and the killed kernel are cached on the instance at first use.
+    weights, adjacency) is computed once at construction.  The normalized
+    graph and the engine's walk record (the killed kernel K_z, E[T] and the
+    Green row per beta, each solved on first use) are cached on the instance.
+    The hitting-time pmf is not kept (see hitbounds.engine).
     """
 
     def __init__(self, edges, origin, targets, vertices=(), metadata=None):

@@ -51,7 +51,10 @@ class SimConfig:
     estimator: str = "hitting"
 
     def __post_init__(self):
-        _as_int(self.seed, "seed", 0)
+        # Philox keys at or above 2**63 pass through float inside NumPy, so
+        # distinct seeds there share streams (and 2**64 and up overflow)
+        if _as_int(self.seed, "seed", 0) >= 2**63:
+            raise ParameterError(f"seed must be below 2**63, got {self.seed}")
         _as_int(self.replications, "replications", 1)
         _as_int(self.max_steps, "max_steps", 1)
         if self.estimator not in ESTIMATORS:

@@ -3,6 +3,27 @@ import pytest
 from hitbounds import corpus
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test's duration.
+
+    Returns the list the wrapper appends each call's positional arguments to.
+    """
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def corpus_sample():
     """A slice of the seeded corpus for module-level property tests."""

@@ -127,6 +127,17 @@ def test_check_underflowed_transform_is_vacuous():
     assert sum("beta=0.05: S_beta underflowed" in note for note in report.notes) == 1
 
 
+def test_check_underflowed_tail_is_vacuous():
+    # P(T <= 1100) = P(T = 1100) = 2**-1099 on a 1100-edge path: below the
+    # smallest subnormal, so the CDF reads 0.0 and the tail bound is 0.0 too
+    report = bounds.check_theorem1(unit_path(1100), a_grid=(1.0,), beta_grid=(0.5,))
+    tails = [c for c in report.checks if c.kind == "tail"]
+    assert len(tails) == 2
+    assert all(c.observed == 0.0 and c.vacuous and c.passed for c in tails)
+    assert sum("tail at a=1: P(T <= 1100) underflowed" in note
+               for note in report.notes) == 2
+
+
 def test_check_adjacent_target_is_trivial():
     g = WeightedGraph([(0, 1, 1.0)], origin=0, targets=[1])
     report = bounds.check_theorem1(g)

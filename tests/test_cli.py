@@ -61,6 +61,14 @@ def test_analyze_unreachable_target(tmp_path):
     assert doc["pmf"] == {"skipped": "target not reachable"}
 
 
+def test_analyze_solves_each_system_once(tmp_path, count_calls):
+    path = tmp_path / "path60.json"
+    write_graph_file(unit_path(60), path)
+    solves = count_calls(engine, "_solve")
+    assert run(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert len(solves) == 21
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -217,6 +225,12 @@ def test_simulate_argument_conflicts(path5, capsys):
     assert run(["simulate", "--estimator", "speed", "--reps", "2"]) == 1
     err = capsys.readouterr().err
     assert "graph" in err
+
+
+def test_simulate_seed_out_of_range_exits_one(path5, capsys):
+    for seed in (2**63, 2**64):
+        assert run(["simulate", str(path5), "--seed", str(seed), "--reps", "2"]) == 1
+        assert "error: seed must be below 2**63" in capsys.readouterr().err
 
 
 def test_sweep_table(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hitbounds
-from hitbounds import engine
+from hitbounds import corpus, engine
 from hitbounds.generators import (
     fast_path, poly_growth_drift, random_graph, tree_line, unit_path)
 from hitbounds.graph import GraphError, WeightedGraph
@@ -234,17 +234,42 @@ def test_pmf_stops_once_walk_is_absorbed():
     assert stats.survival_mass == 0.0
 
 
-def test_walk_parameters_take_one_solve(monkeypatch):
-    calls = []
-    solve = engine._solve
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_solve", counting)
+def test_walk_parameters_take_one_solve(count_calls):
+    solves = count_calls(engine, "_solve")
     engine.WalkParameters.from_graph(random_graph(seed=3), 0.5)
-    assert len(calls) == 1
+    assert len(solves) == 1
+
+
+def test_walk_record_solves_each_system_once(count_calls):
+    solves = count_calls(engine, "_solve")
+    g = random_graph(seed=3)
+    comp, row = engine.green_row(g, 0.5)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+    assert engine.green_row(g, 0.5)[1] is row
+    for stat in (engine.survival_transform, engine.origin_visits, engine.gamma):
+        stat(g, 0.5)
+    engine.expected_hitting_time(g)
+    engine.hitting_time_pmf(g, horizon=50)  # reads E[T] from the record
+    assert len(solves) == 2
+    engine.origin_visits(g, 0.25)
+    assert len(solves) == 3
+
+
+def test_corpus_check_solve_count(count_calls):
+    # 2282 distinct (graph, system) pairs; every one is solved once
+    solves = count_calls(engine, "_solve")
+    corpus.run_all(count=100, seed=11, flow_count=20)
+    assert len(solves) == 2282
+
+
+def test_zero_weight_origin_gamma_is_infinite():
+    g = WeightedGraph([(1, 2, 1.0)], origin=0, targets=[2], vertices=[0, 1, 2])
+    p = engine.WalkParameters.from_graph(g, 0.5)
+    assert (p.survival, p.visits, p.gamma) == (0.0, 1.0, math.inf)
+    assert engine.gamma(g, 0.5) == p.gamma
+    assert engine.effective_resistance(g) == math.inf
 
 
 def test_large_path_solve():

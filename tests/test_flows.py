@@ -320,12 +320,10 @@ def test_decompose_random_graphs(seed, beta):
     assert laws["alpha_within_unit"] and laws["paths_at_least_distance"]
 
 
-def test_flow_report_assembles_one_kernel(monkeypatch):
+def test_flow_report_assembles_one_kernel(count_calls):
     graph = corpus.corpus_graph(7)  # two targets: normalizing builds a new graph
     assert len(graph.targets) == 2
-    built = []
-    kernel = engine._Kernel
-    monkeypatch.setattr(engine, "_Kernel", lambda *a: built.append(a) or kernel(*a))
+    built = count_calls(engine, "_Kernel")
     assert corpus.flow_report([graph])["all_pass"]
     assert len(built) == 1
 

@@ -43,6 +43,16 @@ def test_simconfig_validation():
         SimConfig(seed=0, replications=1, max_steps=9, record_steps=(0,))
 
 
+def test_simconfig_seed_range():
+    # NumPy passes a Philox key at or above 2**63 through float, so seeds
+    # 2**63 and 2**63 + 5 would share one stream; 2**64 would overflow
+    cfg = SimConfig(seed=2**63 - 1, replications=2, max_steps=50)
+    assert len(simulate_hitting(unit_path(3), cfg).times) == 2
+    for seed in (2**63, 2**63 + 5, 2**64):
+        with pytest.raises(ParameterError, match="below 2\\*\\*63"):
+            SimConfig(seed=seed, replications=1, max_steps=1)
+
+
 def test_simconfig_frozen():
     cfg = SimConfig(seed=0, replications=1, max_steps=1)
     with pytest.raises(AttributeError):

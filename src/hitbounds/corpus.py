@@ -56,9 +56,10 @@ def bound_report(graphs, slack: float = 1e-9, a_grid=None, beta_grid=None) -> di
     """check_theorem1 over a corpus, aggregated."""
     start = time.monotonic()
     failures = []
-    checks = 0
+    count = checks = 0
     min_margin = math.inf
     for i, graph in enumerate(graphs):
+        count += 1
         report = bounds.check_theorem1(graph, a_grid=a_grid,
                                        beta_grid=beta_grid, slack=slack)
         checks += len(report.checks)
@@ -66,7 +67,7 @@ def bound_report(graphs, slack: float = 1e-9, a_grid=None, beta_grid=None) -> di
         failures.extend(
             {"graph": i, **c.to_dict()} for c in report.failures())
     return {
-        "graphs": len(list(graphs)),
+        "graphs": count,
         "checks": checks,
         "failures": failures,
         "min_margin": min_margin,
@@ -178,8 +179,10 @@ def commute_report(graphs, tol: float = 1e-9) -> dict:
     """E[T there] + E[T back] = total weight * resistance, after contraction."""
     start = time.monotonic()
     failures = []
+    count = 0
     worst = 0.0
     for i, graph in enumerate(graphs):
+        count += 1
         work = graph.contract_targets()
         there = engine.expected_hitting_time(work)
         back = engine.expected_hitting_time(
@@ -190,7 +193,7 @@ def commute_report(graphs, tol: float = 1e-9) -> dict:
         if gap >= tol:
             failures.append({"graph": i, "gap": gap})
     return {
-        "graphs": len(list(graphs)),
+        "graphs": count,
         "failures": failures,
         "worst_gap": worst,
         "elapsed_seconds": time.monotonic() - start,

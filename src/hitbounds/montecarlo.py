@@ -6,13 +6,15 @@ walk is alive.  Results are therefore byte-identical across runs, chunk
 sizes and platforms, and independent replications can be regenerated in
 isolation.
 
-simulate_hitting absorbs walkers at the target set and reports hitting
-times with a censoring flag at max_steps.  escape_ratios runs the walk
-without absorption and records graph distances from the origin at chosen
-times, turning them into the speed ratio |X_k| / k and the single-log
-ratio |X_k| / sqrt(k log k); it accepts either a weighted graph or the
-biased reference walk.  Graphs whose metadata declares a truncation
-safe_horizon reject recording times beyond it.
+Every sampler steps its walkers through one loop, _walk, which keeps only
+the live walkers of a chunk.  simulate_hitting drops walkers as they land
+on the target set and reports hitting times with a censoring flag at
+max_steps.  escape_ratios runs the walk without absorption and records
+distances from the origin at chosen times, turning them into the speed
+ratio |X_k| / k and the single-log ratio |X_k| / sqrt(k log k).  On a
+weighted graph the distance is the hop distance; on the biased reference
+walk it is |position| on the integers.  Graphs whose metadata declares a
+truncation safe_horizon reject recording times beyond it.
 
 CSV output has columns replication, statistic, k, value, censored with
 full-precision (round-trip) floats.
@@ -60,7 +62,8 @@ class SimConfig:
         if self.estimator not in ESTIMATORS:
             raise ParameterError(
                 f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        steps = tuple(_as_int(k, "record step", 1) for k in self.record_steps)
+        # the single-log ratio divides by sqrt(k log k), which is 0 at k = 1
+        steps = tuple(_as_int(k, "record step", 2) for k in self.record_steps)
         if list(steps) != sorted(set(steps)):
             raise ParameterError("record_steps must be strictly increasing")
         if steps and steps[-1] > self.max_steps:
@@ -155,14 +158,15 @@ class _GraphSampler:
 
     nbr_pad[i, c] / cum_pad[i, c]: c-th neighbour of vertex i and the
     cumulative probability of columns <= c; padding columns repeat the last
-    neighbour with cumulative 2.0 so they are never selected.
+    neighbour with cumulative 2.0 so they are never selected.  Targets may
+    have zero weight: their row is a self-loop that an absorbed walk never
+    steps.
     """
 
-    def __init__(self, graph: WeightedGraph, killed: bool):
+    def __init__(self, graph: WeightedGraph):
         weights = graph.vertex_weights
         dead = [graph.labels[i] for i in range(graph.n)
-                if weights[i] == 0.0
-                and not (killed and i in graph.target_indices)]
+                if weights[i] == 0.0 and i not in graph.target_indices]
         if dead:
             raise GraphError(f"zero vertex weight at {dead}; walk undefined")
         degrees = [len(a) for a in graph.adjacency]
@@ -172,8 +176,8 @@ class _GraphSampler:
         self.nbr_pad = np.zeros((graph.n, max(max_deg, 1)), dtype=np.int64)
         self.cum_pad = np.full((graph.n, max(max_deg, 1)), 2.0)
         for i, nbrs in enumerate(graph.adjacency):
-            if killed and i in graph.target_indices:
-                self.nbr_pad[i, :] = i  # absorbing; never actually stepped
+            if weights[i] == 0.0:
+                self.nbr_pad[i, :] = i
                 continue
             cols = sorted(nbrs)
             probs = np.array([nbrs[j] for j in cols]) / weights[i]
@@ -193,36 +197,47 @@ def _stream(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed, rep)))
 
 
+def _walk(config: SimConfig, start: int, step, last: int, stop=None):
+    """Step every replication from start, yielding (k, reps, pos) after step k.
+
+    reps are the replication ids still walking and pos their positions;
+    step(pos, u) maps positions and one uniform each to new positions.
+    Replication r's step k uses uniform k - 1 of its stream, drawn
+    _BUFFER_COLS at a time.  Walkers that land on the boolean mask stop are
+    yielded at that step and then dropped, so each step costs O(live).
+    """
+    for first in range(0, config.replications, _CHUNK_REPS):
+        reps = np.arange(first, min(first + _CHUNK_REPS, config.replications))
+        gens = [_stream(config.seed, r) for r in reps]
+        pos = np.full(reps.size, start, dtype=np.int64)
+        buf = np.empty((reps.size, _BUFFER_COLS))
+        for k in range(1, last + 1):
+            rows = reps - first
+            col = (k - 1) % _BUFFER_COLS
+            if col == 0:
+                for r in rows:
+                    gens[r].random(out=buf[r])
+            pos = step(pos, buf[:, col][rows])
+            yield k, reps, pos
+            if stop is not None:
+                keep = ~stop[pos]
+                reps, pos = reps[keep], pos[keep]
+                if reps.size == 0:
+                    break
+
+
 def simulate_hitting(graph: WeightedGraph, config: SimConfig) -> HittingSample:
     """Sample the hitting time of the target set, one stream per replication."""
-    sampler = _GraphSampler(graph, killed=True)
+    sampler = _GraphSampler(graph)
     target_mask = np.zeros(graph.n, dtype=bool)
     target_mask[list(graph.target_indices)] = True
-    times = np.zeros(config.replications, dtype=np.int64)
-    censored = np.zeros(config.replications, dtype=bool)
-
-    for chunk_start in range(0, config.replications, _CHUNK_REPS):
-        chunk = min(_CHUNK_REPS, config.replications - chunk_start)
-        gens = [_stream(config.seed, chunk_start + r) for r in range(chunk)]
-        pos = np.full(chunk, graph.origin_index, dtype=np.int64)
-        t = np.zeros(chunk, dtype=np.int64)
-        alive = np.ones(chunk, dtype=bool)
-        buf = np.empty((chunk, _BUFFER_COLS))
-        for k in range(1, config.max_steps + 1):
-            col = (k - 1) % _BUFFER_COLS
-            live = np.flatnonzero(alive)
-            if live.size == 0:
-                break
-            if col == 0:
-                for r in live:
-                    buf[r] = gens[r].random(_BUFFER_COLS)
-            pos[live] = sampler.step(pos[live], buf[live, col])
-            arrived = live[target_mask[pos[live]]]
-            t[arrived] = k
-            alive[arrived] = False
-        t[alive] = config.max_steps
-        times[chunk_start : chunk_start + chunk] = t
-        censored[chunk_start : chunk_start + chunk] = alive
+    times = np.full(config.replications, config.max_steps, dtype=np.int64)
+    censored = np.ones(config.replications, dtype=bool)
+    for k, reps, pos in _walk(config, graph.origin_index, sampler.step,
+                              config.max_steps, stop=target_mask):
+        arrived = reps[target_mask[pos]]
+        times[arrived] = k
+        censored[arrived] = False
     return HittingSample(config=config, times=times, censored=censored)
 
 
@@ -237,48 +252,28 @@ def _check_safe_horizon(graph: WeightedGraph, config: SimConfig):
 def escape_ratios(target, config: SimConfig) -> EscapeSample:
     """Distances from the origin at the recorded times, walk not absorbed.
 
-    target is a WeightedGraph (graph distance via breadth-first search) or
-    a BiasedWalk (distance |position| on the integers, simulated directly).
+    target is a WeightedGraph (hop distance from the origin) or a
+    BiasedWalk (distance |position| on the integers, started at 0).
     """
     if not config.record_steps:
         raise ParameterError("escape_ratios needs record_steps")
     if isinstance(target, BiasedWalk):
-        return _escape_biased(target, config)
-    if not isinstance(target, WeightedGraph):
+        p_right = target.g / (1.0 + target.g)
+        start, distance = 0, np.abs
+
+        def step(pos, u):
+            return pos + 2 * (u < p_right) - 1
+    elif isinstance(target, WeightedGraph):
+        _check_safe_horizon(target, config)
+        start, step = target.origin_index, _GraphSampler(target).step
+        distance = _hop_distances(target).take
+    else:
         raise ParameterError(f"unsupported walk object {target!r}")
-    _check_safe_horizon(target, config)
-    sampler = _GraphSampler(target, killed=False)
-    dist_map = _hop_distances(target)
     record = {k: i for i, k in enumerate(config.record_steps)}
     out = np.zeros((config.replications, len(record)), dtype=np.int64)
-
-    for chunk_start in range(0, config.replications, _CHUNK_REPS):
-        chunk = min(_CHUNK_REPS, config.replications - chunk_start)
-        gens = [_stream(config.seed, chunk_start + r) for r in range(chunk)]
-        pos = np.full(chunk, target.origin_index, dtype=np.int64)
-        buf = np.empty((chunk, _BUFFER_COLS))
-        last = config.record_steps[-1]
-        for k in range(1, last + 1):
-            col = (k - 1) % _BUFFER_COLS
-            if col == 0:
-                for r in range(chunk):
-                    buf[r] = gens[r].random(_BUFFER_COLS)
-            pos = sampler.step(pos, buf[:, col])
-            if k in record:
-                out[chunk_start : chunk_start + chunk, record[k]] = dist_map[pos]
-    return EscapeSample(config=config, distances=out)
-
-
-def _escape_biased(walk: BiasedWalk, config: SimConfig) -> EscapeSample:
-    p_right = walk.g / (1.0 + walk.g)
-    ks = np.asarray(config.record_steps, dtype=np.int64)
-    last = int(ks[-1])
-    out = np.zeros((config.replications, len(ks)), dtype=np.int64)
-    for r in range(config.replications):
-        u = _stream(config.seed, r).random(last)
-        steps = np.where(u < p_right, 1, -1)
-        pos = np.cumsum(steps)
-        out[r] = np.abs(pos[ks - 1])
+    for k, reps, pos in _walk(config, start, step, config.record_steps[-1]):
+        if k in record:
+            out[reps, record[k]] = distance(pos)
     return EscapeSample(config=config, distances=out)
 
 

@@ -227,6 +227,13 @@ def test_simulate_argument_conflicts(path5, capsys):
     assert "graph" in err
 
 
+def test_simulate_record_step_one_exits_one(capsys):
+    # k log k = 0 at k = 1, so the single-log ratio would be inf
+    assert run(["simulate", "--reference-g", "2", "--estimator", "speed",
+                "--record", "1,10"]) == 1
+    assert "record step must be >= 2" in capsys.readouterr().err
+
+
 def test_simulate_seed_out_of_range_exits_one(path5, capsys):
     for seed in (2**63, 2**64):
         assert run(["simulate", str(path5), "--seed", str(seed), "--reps", "2"]) == 1

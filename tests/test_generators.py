@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hitbounds import engine
+from hitbounds import corpus, engine
 from hitbounds.corpus import corpus_graph
 from hitbounds.generators import (
     biased_line,
@@ -225,3 +225,11 @@ def test_corpus_graph_variants():
         g = corpus_graph(idx)
         assert g.distance(g.origin) >= 3
         assert len(g.labels) <= 12
+
+
+def test_corpus_reports_count_generator_input():
+    graphs = [corpus_graph(i) for i in range(3)]
+    bounds = corpus.bound_report(g for g in graphs)
+    assert bounds["graphs"] == 3
+    assert bounds["checks"] == corpus.bound_report(graphs)["checks"]
+    assert corpus.commute_report(g for g in graphs)["graphs"] == 3

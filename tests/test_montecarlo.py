@@ -1,9 +1,11 @@
 import math
+from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
 
-from hitbounds import engine
+from hitbounds import engine, montecarlo
 from hitbounds.corpus import corpus_graph
 from hitbounds.generators import (
     biased_line,
@@ -41,6 +43,8 @@ def test_simconfig_validation():
         SimConfig(seed=0, replications=1, max_steps=9, record_steps=(10,))
     with pytest.raises(ParameterError):
         SimConfig(seed=0, replications=1, max_steps=9, record_steps=(0,))
+    with pytest.raises(ParameterError, match="record step must be >= 2"):
+        SimConfig(seed=0, replications=1, max_steps=9, record_steps=(1,))
 
 
 def test_simconfig_seed_range():
@@ -77,29 +81,65 @@ def test_replications_use_isolated_streams():
     assert (large.times[:2] == small.times).all()
 
 
+def _uniforms(seed, r):
+    """Replication r's stream in the documented layout, 256 uniforms a draw."""
+    rng = np.random.Generator(np.random.Philox(key=(seed, r)))
+    while True:
+        yield from rng.random(256)
+
+
+def _graph_move(graph, pos, u):
+    nbrs = graph.adjacency[pos]
+    cols = sorted(nbrs)
+    cum = np.cumsum([nbrs[j] for j in cols]) / graph.vertex_weights[pos]
+    cum[-1] = 1.0
+    return cols[int((u >= cum).sum())]
+
+
 def _reference_times(graph, seed, replications, max_steps):
     """Scalar per-replication walker consuming the documented stream layout."""
-    weights = graph.vertex_weights
     out = []
     for r in range(replications):
-        rng = np.random.Generator(np.random.Philox(key=(seed, r)))
-        blocks = []
+        u = _uniforms(seed, r)
         pos = graph.origin_index
         t = max_steps
         for k in range(1, max_steps + 1):
-            idx = k - 1
-            if idx % 256 == 0:
-                blocks.append(rng.random(256))
-            u = blocks[idx // 256][idx % 256]
-            nbrs = graph.adjacency[pos]
-            cols = sorted(nbrs)
-            cum = np.cumsum([nbrs[j] for j in cols]) / weights[pos]
-            cum[-1] = 1.0
-            pos = cols[int((u >= cum).sum())]
+            pos = _graph_move(graph, pos, next(u))
             if pos in graph.target_indices:
                 t = k
                 break
         out.append(t)
+    return np.array(out)
+
+
+def _reference_distances(target, seed, replications, record_steps):
+    """Scalar escape walker: hop distance on a graph, |position| on Z."""
+    if isinstance(target, BiasedWalk):
+        p_right = target.g / (1.0 + target.g)
+        start, distance = 0, abs
+
+        def move(pos, u):
+            return pos + (1 if u < p_right else -1)
+    else:
+        hops = {target.origin_index: 0}
+        queue = deque(hops)
+        while queue:
+            i = queue.popleft()
+            for j in target.adjacency[i]:
+                if j not in hops:
+                    hops[j] = hops[i] + 1
+                    queue.append(j)
+        start, distance = target.origin_index, hops.__getitem__
+        move = partial(_graph_move, target)
+    out = []
+    for r in range(replications):
+        u = _uniforms(seed, r)
+        pos, row = start, []
+        for k in range(1, record_steps[-1] + 1):
+            pos = move(pos, next(u))
+            if k in record_steps:
+                row.append(distance(pos))
+        out.append(row)
     return np.array(out)
 
 
@@ -117,6 +157,35 @@ def test_matches_scalar_reference_walker():
     sample = simulate_hitting(mixed, cfg)
     ref = _reference_times(mixed, 4, 5, 40_000)
     assert (sample.times == ref).all()
+
+
+def test_escape_matches_scalar_reference_walker():
+    # record steps on both sides of the 256-uniform refill
+    steps = (5, 255, 256, 257, 600)
+    for target, seed in ((corpus_graph(2), 4), (BiasedWalk(2.0), 9)):
+        cfg = SimConfig(seed=seed, replications=5, max_steps=600,
+                        record_steps=steps)
+        ref = _reference_distances(target, seed, 5, steps)
+        assert (escape_ratios(target, cfg).distances == ref).all()
+
+
+def test_output_independent_of_chunk_size(monkeypatch):
+    # 10 replications in chunks of 3 leave a final chunk of one
+    cases = [
+        (simulate_hitting, corpus_graph(2),
+         SimConfig(seed=5, replications=10, max_steps=40)),
+        (escape_ratios, corpus_graph(2),
+         SimConfig(seed=7, replications=10, max_steps=300,
+                   record_steps=(5, 256, 257, 300))),
+        (escape_ratios, BiasedWalk(2.0),
+         SimConfig(seed=3, replications=10, max_steps=300,
+                   record_steps=(10, 256, 300))),
+    ]
+    samples = [sampler(target, cfg) for sampler, target, cfg in cases]
+    assert 0 < samples[0].censored_count < 10
+    monkeypatch.setattr(montecarlo, "_CHUNK_REPS", 3)
+    for (sampler, target, cfg), sample in zip(cases, samples):
+        assert to_csv_text(sampler(target, cfg)) == to_csv_text(sample)
 
 
 def test_censoring_when_horizon_too_short():

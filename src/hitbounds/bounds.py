@@ -36,6 +36,7 @@ from .refwalk import ParameterError, _as_int, advance_pgf, rate_function
 
 _A_GRID_COUNT = 12
 _VACUOUS_EXCESS = 1e-12  # g - 1 below this: treat bounds as vacuous
+_TAIL_HORIZON_CAP = 2_000_000  # tail checks beyond this many steps are skipped
 
 
 def _check_ratio(ratio):
@@ -237,15 +238,14 @@ def _trivial_report(n, ratio, resistance, expected, note):
 
 
 def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
-                   slack: float = 1e-9, horizon_cap: int = 2_000_000
-                   ) -> BoundReport:
+                   slack: float = 1e-9) -> BoundReport:
     """Evaluate every drift bound on a graph against exact statistics.
 
     The graph is normalized first (contract targets, drop inaccessible
     pockets); this can only tighten the bounds and never changes the hitting
     law.  slack is the relative tolerance granted to roundoff when comparing
-    a bound with an exact value.  Tail thresholds beyond horizon_cap steps
-    are skipped (noted in the report).
+    a bound with an exact value.  Tail thresholds beyond _TAIL_HORIZON_CAP
+    steps are skipped (noted in the report).
     """
     work = graph.normalized()
     d = work.distance(work.origin)
@@ -301,7 +301,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
                 f"{source}: a values outside [1, {mean_time:.6g}] skipped")
     thresholds = sorted({math.floor(a * n + 1.0)
                          for grid in grids.values() for a in grid})
-    horizon = int(min(max(thresholds, default=0), horizon_cap))
+    horizon = int(min(max(thresholds, default=0), _TAIL_HORIZON_CAP))
     cdf = None
     if horizon > 0:
         stats = engine.hitting_time_pmf(work, horizon=horizon)
@@ -310,7 +310,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
     for source, g, excess in sources:
         for a in grids[source]:
             threshold = math.floor(a * n + 1.0)
-            if threshold > horizon_cap:
+            if threshold > _TAIL_HORIZON_CAP:
                 report.notes.append(
                     f"{source}: tail check at a={a:.6g} skipped "
                     f"(threshold {threshold} beyond horizon cap)")

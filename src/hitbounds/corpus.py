@@ -29,6 +29,7 @@ import numpy as np
 
 from . import bounds, engine, flows
 from .generators import random_graph
+from .refwalk import _as_int
 
 DEFAULT_SEED = 20260823
 DEFAULT_COUNT = 1000
@@ -223,6 +224,8 @@ def estimate_report(count: int = 100, seed: int = DEFAULT_SEED) -> dict:
 def run_all(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
             flow_count: int = 200, flow_betas=(0.2, 0.5, 0.8)) -> dict:
     """Every suite on the standard corpus; the corpus-check command's payload."""
+    count = _as_int(count, "count", 1)
+    flow_count = _as_int(flow_count, "flow_count", 0)
     graphs = standard_corpus(count, seed=seed)
     flow_graphs = graphs[:: max(1, len(graphs) // max(flow_count, 1))][:flow_count]
     reports = {

@@ -247,8 +247,9 @@ def default_horizon(graph: WeightedGraph, expected: float) -> int:
 def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> HittingStats:
     """Exact pmf of T by iterating the killed kernel from the origin.
 
-    The default horizon is max(16 E[T], 4 n^2), capped at 1e7.  Iteration
-    stops early once the surviving mass underflows to zero.
+    The default horizon is max(16 E[T], 4 n^2), capped at PMF_HORIZON_CAP
+    = 1e7; a larger explicit horizon raises GraphError.  Iteration stops
+    early once the surviving mass underflows to zero.
 
     Up to _DENSE_MAX live vertices m, a block of b = 2^L <= 64 steps sets
     pmf[k:k+b] = v A and v = v K^b, A = [a, K a, ..., K^(b-1) a] for the
@@ -259,8 +260,9 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     if horizon is None:
         horizon = default_horizon(graph, expected)
     horizon = int(horizon)
-    if horizon < 0:
-        raise GraphError("horizon must be nonnegative")
+    if not 0 <= horizon <= PMF_HORIZON_CAP:
+        raise GraphError(
+            f"horizon must lie in [0, {PMF_HORIZON_CAP}], got {horizon}")
     kz = _kernel(graph)
     alive = kz.comp[~kz.at_target]
     m = len(alive)

@@ -12,7 +12,9 @@ target, visit count R = 1 + flow into the origin, and Gamma = R w_z / w_o
 is recovered from flow ratios alone.
 
 The edge ratio theta(x, y) = f(x, y) / f(y, x) is the ratio of a vertex
-potential, so its product around any cycle is 1 (reversibility); the
+potential, so its product around any cycle is 1 (reversibility).  One
+breadth-first search builds that potential; Gamma is read from it, and
+reversibility is checked on every support edge against it.  The
 directed quantity s(x, y) = (beta f(x,y) - f(y,x)) / (f(x,y) - beta f(y,x))
 is the natural per-edge progress variable, with h(s) = s (1 - s beta) /
 (beta - s) its multiplicative transform.
@@ -133,100 +135,63 @@ def theta(flow: LossFlow, x, y) -> float:
     return fxy / fyx
 
 
-def cycle_reversibility_gap(flow: LossFlow, cycles=None, limit: int = 64) -> float:
+def _potential(flow: LossFlow) -> np.ndarray:
+    """Vertex potential pot with f(x, y) / f(y, x) = pot[y] / pot[x].
+
+    A breadth-first search from the origin (pot = 1) over the two-way
+    support edges off the target sets pot[j] = pot[i] f(i, j) / f(j, i).
+    Vertices it does not reach get NaN.
+    """
+    m = flow.matrix
+    two_way = (m > 0.0) & (m.T > 0.0)
+    two_way[:, flow.target_index] = False
+    oi = flow.origin_index
+    pot = [math.nan] * len(m)
+    pot[oi] = 1.0
+    queue = [oi]
+    for i in queue:
+        for j in np.flatnonzero(two_way[i]).tolist():
+            if math.isnan(pot[j]):
+                pot[j] = pot[i] * (m[i, j] / m[j, i])
+                queue.append(j)
+    return np.array(pot)
+
+
+def cycle_reversibility_gap(flow: LossFlow) -> float:
     """Largest relative mismatch of flow products around cycles.
 
     Reversibility of the underlying walk makes the product of f along any
-    cycle avoiding the target equal the product along its reversal.  With
-    cycles=None a fundamental cycle basis of the support (off the target)
-    is sampled, up to `limit` cycles.  Returns 0.0 when there are none.
+    cycle avoiding the target equal the product along its reversal, that
+    is, a(x, y) = f(x, y) pot[x] is symmetric.  The check runs on every
+    support edge between vertices the potential reaches, so it covers
+    every such cycle: a cycle's relative mismatch is |a - a^T| / max(a, a^T)
+    on the one edge that closes it over the search tree.  Returns 0.0 when
+    there are no such edges.
     """
-    m = flow.matrix
-    zi = flow.target_index
-    if cycles is None:
-        support = m + m.T
-        n = len(flow.labels)
-        parent = {}
-        extra = []
-        seen = set()
-        for root in range(n):
-            if root == zi or root in seen or not support[root].any():
-                continue
-            seen.add(root)
-            parent[root] = None
-            queue = [root]
-            for i in queue:
-                for j in np.flatnonzero(support[i]):
-                    j = int(j)
-                    if j == zi:
-                        continue
-                    if j not in seen:
-                        seen.add(j)
-                        parent[j] = i
-                        queue.append(j)
-                    elif parent.get(i) != j and i < j:
-                        extra.append((i, j))
-        cycles_idx = []
-        for i, j in extra[:limit]:
-            up_i, up_j = [i], [j]
-            while parent[up_i[-1]] is not None:
-                up_i.append(parent[up_i[-1]])
-            while parent[up_j[-1]] is not None:
-                up_j.append(parent[up_j[-1]])
-            common = set(up_i) & set(up_j)
-            ci = up_i[: next(k for k, v in enumerate(up_i) if v in common) + 1]
-            cj = up_j[: next(k for k, v in enumerate(up_j) if v in common) + 1]
-            if ci[-1] != cj[-1]:
-                continue  # different anchors cannot happen in a tree; be safe
-            cycles_idx.append(ci + cj[-2::-1] + [ci[0]])
-    else:
-        cycles_idx = []
-        for cyc in cycles:
-            idx = [flow.index[v] for v in cyc]
-            if idx[0] != idx[-1]:
-                idx.append(idx[0])
-            cycles_idx.append(idx)
-
-    worst = 0.0
-    for idx in cycles_idx:
-        fw = bw = 1.0
-        for a, b in zip(idx, idx[1:]):
-            fw *= m[a, b]
-            bw *= m[b, a]
-        denom = max(abs(fw), abs(bw))
-        if denom > 0.0:
-            worst = max(worst, abs(fw - bw) / denom)
-    return worst
+    a = flow.matrix * _potential(flow)[:, None]
+    hi = np.maximum(a, a.T)
+    edge = hi > 0.0  # False where either end is unreached (NaN)
+    if not edge.any():
+        return 0.0
+    return float((np.abs(a - a.T)[edge] / hi[edge]).max())
 
 
 def flow_parameters(flow: LossFlow) -> engine.WalkParameters:
     """(S, R, Gamma) read off the flow alone.
 
     S = flow into the target, R = 1 + flow into the origin, and Gamma sums
-    theta-path products times terminal flows: path independence of the
-    theta products makes any origin-to-x support path usable.
+    theta-path products (the potential) times terminal flows: path
+    independence of the theta products makes any origin-to-x support path
+    usable.
     """
     m = flow.matrix
     zi = flow.target_index
-    oi = flow.origin_index
     s = float(m[:, zi].sum())
-    r = 1.0 + float(m[:, oi].sum())
-
-    support = m + m.T
-    pot = {oi: 1.0}  # theta-product along a support path from the origin
-    queue = [oi]
-    for i in queue:
-        for j in np.flatnonzero(support[i]):
-            j = int(j)
-            if j == zi or j in pot:
-                continue
-            if m[j, i] > 0.0:
-                pot[j] = pot[i] * (m[i, j] / m[j, i])
-                queue.append(j)
+    r = 1.0 + float(m[:, flow.origin_index].sum())
+    pot = _potential(flow)
     gam = 0.0
     for i in np.flatnonzero(m[:, zi]):
-        i = int(i)
-        if i not in pot:
+        if math.isnan(pot[i]):
             raise FlowError(
                 "gamma undefined: no two-way support path from the origin "
                 f"to terminal vertex {flow.labels[i]!r}")

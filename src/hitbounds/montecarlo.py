@@ -243,7 +243,7 @@ def simulate_hitting(graph: WeightedGraph, config: SimConfig) -> HittingSample:
 
 def _check_safe_horizon(graph: WeightedGraph, config: SimConfig):
     horizon = graph.metadata.get("safe_horizon")
-    if horizon and config.record_steps and config.record_steps[-1] > horizon:
+    if horizon is not None and config.record_steps[-1] > horizon:
         raise ParameterError(
             f"record step {config.record_steps[-1]} beyond the truncation "
             f"safety horizon {horizon}")

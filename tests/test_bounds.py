@@ -138,6 +138,23 @@ def test_check_underflowed_tail_is_vacuous():
                for note in report.notes) == 2
 
 
+def test_check_skips_tails_beyond_horizon_cap(corpus_sample, monkeypatch):
+    graph = corpus_sample[1]
+    full = bounds.check_theorem1(graph)
+    tails = [c for c in full.checks if c.kind == "tail"]
+    cap = full.n + 1  # the threshold at a = 1
+    kept = [(c.source, c.param) for c in tails
+            if math.floor(c.param * full.n + 1.0) <= cap]
+    assert 0 < len(kept) < len(tails)
+    monkeypatch.setattr(bounds, "_TAIL_HORIZON_CAP", cap)
+    report = bounds.check_theorem1(graph)
+    assert [(c.source, c.param) for c in report.checks
+            if c.kind == "tail"] == kept
+    notes = [note for note in report.notes if "beyond horizon cap" in note]
+    assert len(notes) == len(tails) - len(kept)
+    assert report.all_pass
+
+
 def test_check_adjacent_target_is_trivial():
     g = WeightedGraph([(0, 1, 1.0)], origin=0, targets=[1])
     report = bounds.check_theorem1(g)

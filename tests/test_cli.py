@@ -7,7 +7,7 @@ import pytest
 
 from hitbounds import cli, engine
 from hitbounds.graph import parse, read_graph_file, serialize, write_graph_file
-from hitbounds.generators import fast_path, unit_path
+from hitbounds.generators import biased_line, fast_path, unit_path
 
 
 def run(argv):
@@ -79,6 +79,14 @@ def test_analyze_malformed_graph(tmp_path, capsys):
     p.write_text("{not json")
     assert run(["analyze", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_horizon_beyond_cap_exits_one(tmp_path, capsys):
+    p = tmp_path / "path2.json"
+    write_graph_file(unit_path(2), p)
+    horizon = str(engine.PMF_HORIZON_CAP + 1)
+    assert run(["analyze", str(p), "--horizon", horizon]) == 1
+    assert "horizon must lie in" in capsys.readouterr().err
 
 
 def test_analyze_reports_falsification(path5, tmp_path, monkeypatch):
@@ -234,6 +242,14 @@ def test_simulate_record_step_one_exits_one(capsys):
     assert "record step must be >= 2" in capsys.readouterr().err
 
 
+def test_simulate_beyond_zero_safe_horizon_exits_one(tmp_path, capsys):
+    p = tmp_path / "bl5.json"
+    write_graph_file(biased_line(5, 2.0), p)
+    assert run(["simulate", str(p), "--estimator", "speed", "--horizon", "50",
+                "--record", "10,50"]) == 1
+    assert "safety horizon 0" in capsys.readouterr().err
+
+
 def test_simulate_seed_out_of_range_exits_one(path5, capsys):
     for seed in (2**63, 2**64):
         assert run(["simulate", str(path5), "--seed", str(seed), "--reps", "2"]) == 1
@@ -279,6 +295,14 @@ def test_corpus_check_small(tmp_path):
     assert doc["all_pass"] is True
     assert doc["bounds"]["graphs"] == 25
     assert doc["manifest"]["parameters"]["count"] == 25
+
+
+@pytest.mark.parametrize("counts", [["--count", "50", "--flow-count", "-1"],
+                                    ["--count", "0"]])
+def test_corpus_check_rejects_empty_counts(counts, capsys):
+    # either count would check nothing and still report all_pass
+    assert run(["corpus-check", *counts]) == 1
+    assert "must be >=" in capsys.readouterr().err
 
 
 def test_console_script_installed(path5, tmp_path):

@@ -234,6 +234,12 @@ def test_pmf_stops_once_walk_is_absorbed():
     assert stats.survival_mass == 0.0
 
 
+def test_pmf_rejects_horizon_beyond_cap():
+    for horizon in (-1, engine.PMF_HORIZON_CAP + 1):
+        with pytest.raises(GraphError, match="horizon must lie in"):
+            engine.hitting_time_pmf(unit_path(2), horizon=horizon)
+
+
 def test_walk_parameters_take_one_solve(count_calls):
     solves = count_calls(engine, "_solve")
     engine.WalkParameters.from_graph(random_graph(seed=3), 0.5)

@@ -229,7 +229,30 @@ def test_cycle_gap_detects_skew():
     m[fl.index[1], fl.index[2]] *= 1.001
     bad = LossFlow(beta=0.7, labels=fl.labels, origin=fl.origin,
                    target=fl.target, matrix=m)
-    assert cycle_reversibility_gap(bad, cycles=[[0, 1, 2]]) > 1e-5
+    assert cycle_reversibility_gap(bad) > 1e-5
+
+
+def test_cycle_gap_checks_every_edge():
+    # K14 has 91 edges and 78 independent cycles; skewing any one edge
+    # breaks reversibility on some cycle through it
+    edges = [(i, j, 1.0) for i in range(14) for j in range(i + 1, 14)]
+    g = WeightedGraph(edges + [(13, 14, 1.0)], origin=0, targets=[14])
+    fl = build_flow(g, 0.7)
+    assert cycle_reversibility_gap(fl) < 1e-13
+    for i, j, _ in edges:
+        m = fl.matrix.copy()
+        m[fl.index[i], fl.index[j]] *= 1.001
+        bad = LossFlow(beta=0.7, labels=fl.labels, origin=fl.origin,
+                       target=fl.target, matrix=m)
+        assert cycle_reversibility_gap(bad) > 1e-5, (i, j)
+
+
+def test_cycle_gap_ignores_one_way_bridge():
+    # edge 1-2 carries no backward flow: a bridge on no cycle.  Ratios that
+    # are powers of two keep the two-way edges exactly symmetric.
+    fl = path_flow([0, 1, 2, 3, 4], [0.25, 0.0, 0.5], 0.6)
+    assert fl.value(2, 1) == 0.0
+    assert cycle_reversibility_gap(fl) == 0.0
 
 
 def test_array_identities_on_corpus(corpus_sample):

@@ -271,6 +271,15 @@ def test_escape_respects_safe_horizon():
         escape_ratios(g, cfg)
 
 
+def test_escape_respects_zero_safe_horizon():
+    # without a tail the origin sits on the boundary: safe_horizon is 0
+    g = biased_line(5, 2.0)
+    assert g.metadata["safe_horizon"] == 0
+    cfg = SimConfig(seed=1, replications=3, max_steps=50, record_steps=(10, 50))
+    with pytest.raises(ParameterError, match="safety horizon 0"):
+        escape_ratios(g, cfg)
+
+
 def test_escape_argument_validation():
     cfg = SimConfig(seed=0, replications=2, max_steps=10)
     with pytest.raises(ParameterError):

@@ -24,8 +24,9 @@ Every system is solved directly: by dense LU (LAPACK) up to _DENSE_MAX
 unknowns, by sparse LU (SuperLU) above, where the per-call set-up of the
 sparse solver no longer dominates.
 
-hitting_time_pmf advances a dense K_z up to 64 steps per NumPy call, from
-powers built by repeated squaring: nonnegative arithmetic, so nothing cancels.
+hitting_time_pmf either advances a dense K_z up to 64 steps per NumPy call,
+from powers built by repeated squaring (nonnegative arithmetic, so nothing
+cancels), or steps a CSR K_z singly: whichever a cost model predicts cheaper.
 
 Expectations are reported as math.inf when the walk cannot reach the target
 set; no exception is raised for that case.
@@ -42,10 +43,12 @@ import numpy as np
 from .graph import GraphError, WeightedGraph
 
 PMF_HORIZON_CAP = 10_000_000
-# Largest graph green_kernel returns as a dense matrix.
+# Largest graph green_kernel returns as a dense matrix, and most live
+# vertices the pmf steps densely: its up to 7 kept powers of K_z take
+# 7 * 8 m^2 bytes, 224 MB at m = 2000.
 DENSE_VERTEX_LIMIT = 2000
-# Unknowns up to which dense LAPACK beats sparse LU (it wins to about 120
-# and loses from about 250), and dense pmf steps beat sparse ones.
+# Unknowns up to which dense LAPACK beats sparse LU in a solve (it wins to
+# about 120 and loses from about 250).  The pmf chooses by _pmf_doublings.
 _DENSE_MAX = 200
 
 
@@ -244,6 +247,25 @@ def default_horizon(graph: WeightedGraph, expected: float) -> int:
     return min(base, PMF_HORIZON_CAP)
 
 
+def _pmf_doublings(m: int, nnz: int, horizon: int) -> int | None:
+    """Doublings L for the dense blocked pmf, or None where CSR steps are cheaper.
+
+    m live vertices, nnz entries of K_z among them.  The dense path builds
+    b = 2^L <= 64 with L m <= horizon / 2, and only up to DENSE_VERTEX_LIMIT.
+    Predicted costs in ns, from timings at m = 10 to 1500 on a 2-core x86-64
+    host with one OpenBLAS thread: a doubling (an m x m product) 0.025 m^3,
+    a dense block of b steps 3000 + 0.3 (b m + m^2) (0.3 is the rate once K
+    outgrows the cache; within it, about 0.12), a CSR step 6000 + nnz.
+    """
+    levels = min(6, horizon // 2 // m)
+    b = 1 << levels
+    blocks = horizon // b + (horizon % b).bit_count()
+    dense = 0.025 * levels * m**3 + blocks * (3000 + 0.3 * (b * m + m * m))
+    if m > DENSE_VERTEX_LIMIT or dense > horizon * (6000 + nnz):
+        return None
+    return levels
+
+
 def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> HittingStats:
     """Exact pmf of T by iterating the killed kernel from the origin.
 
@@ -251,10 +273,13 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     = 1e7; a larger explicit horizon raises GraphError.  Iteration stops
     early once the surviving mass underflows to zero.
 
-    Up to _DENSE_MAX live vertices m, a block of b = 2^L <= 64 steps sets
+    Over m live vertices, a dense block of b = 2^L <= 64 steps sets
     pmf[k:k+b] = v A and v = v K^b, A = [a, K a, ..., K^(b-1) a] for the
     arrival vector a, both from L doublings of about m steps each, with
-    L m <= horizon / 2.  The rest goes in blocks of b/2, ..., 1.
+    L m <= horizon / 2.  The rest goes in blocks of b/2, ..., 1, one for
+    each set bit of horizon below b; only those blocks are kept.  Where
+    _pmf_doublings predicts the doublings and blocks to cost more than
+    single CSR steps, K is kept sparse and stepped singly.
     """
     expected = expected_hitting_time(graph)
     if horizon is None:
@@ -270,17 +295,20 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     inner = c >= 0  # from alive rows every other column is a target
     arrive = np.bincount(r[~inner], weights=p[~inner], minlength=m)
     r, c, p = r[inner], c[inner], p[inner]
-    # blocks[i] = (b, A^T, (K^b)^T) with b = 2^i
-    if m > _DENSE_MAX:
+    # blocks hold (b, A^T, (K^b)^T), b = 2^i increasing
+    levels = _pmf_doublings(m, len(p), horizon)
+    if levels is None:
         from scipy.sparse import csr_matrix
 
         blocks = [(1, arrive, csr_matrix((p, (c, r)), shape=(m, m)))]
     else:
-        kz_dense = np.zeros((m, m))
-        kz_dense[r, c] = p
-        blocks = [(1, arrive, kz_dense.T)]
-        while blocks[-1][0] < 64 and len(blocks) * m <= horizon // 2:
+        q = np.zeros((m, m))
+        q[r, c] = p
+        blocks = [(1, arrive, q.T)]
+        for i in range(levels):
             b, a_t, q = blocks[-1]
+            if not horizon >> i & 1:  # block b never runs: drop its power
+                blocks.pop()
             blocks.append((2 * b, np.vstack([a_t, a_t @ q]), q @ q))
 
     pmf = np.zeros(horizon + 1)

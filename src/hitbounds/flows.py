@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,8 @@ class LossFlow:
     matrix[i, j] is the flow on the directed edge i -> j in the canonical
     order of labels.  graph is set when the flow came from a weighted graph
     (after target contraction); synthetic path flows carry graph=None.
+    The flow keeps its vertex potential after first use, so matrix is not
+    to be mutated afterwards.
     """
 
     beta: float
@@ -84,6 +87,10 @@ class LossFlow:
     def value(self, x, y) -> float:
         """Flow on the directed edge x -> y."""
         return float(self.matrix[self.index[x], self.index[y]])
+
+    @cached_property
+    def _pot(self) -> np.ndarray:
+        return _potential(self)
 
 
 def build_flow(graph: WeightedGraph, beta: float) -> LossFlow:
@@ -140,7 +147,8 @@ def _potential(flow: LossFlow) -> np.ndarray:
 
     A breadth-first search from the origin (pot = 1) over the two-way
     support edges off the target sets pot[j] = pot[i] f(i, j) / f(j, i).
-    Vertices it does not reach get NaN.
+    Vertices it does not reach get NaN.  Read it as flow._pot, which runs
+    this once per flow and keeps the read-only result.
     """
     m = flow.matrix
     two_way = (m > 0.0) & (m.T > 0.0)
@@ -154,7 +162,9 @@ def _potential(flow: LossFlow) -> np.ndarray:
             if math.isnan(pot[j]):
                 pot[j] = pot[i] * (m[i, j] / m[j, i])
                 queue.append(j)
-    return np.array(pot)
+    pot = np.array(pot)
+    pot.flags.writeable = False
+    return pot
 
 
 def cycle_reversibility_gap(flow: LossFlow) -> float:
@@ -168,7 +178,7 @@ def cycle_reversibility_gap(flow: LossFlow) -> float:
     on the one edge that closes it over the search tree.  Returns 0.0 when
     there are no such edges.
     """
-    a = flow.matrix * _potential(flow)[:, None]
+    a = flow.matrix * flow._pot[:, None]
     hi = np.maximum(a, a.T)
     edge = hi > 0.0  # False where either end is unreached (NaN)
     if not edge.any():
@@ -188,7 +198,7 @@ def flow_parameters(flow: LossFlow) -> engine.WalkParameters:
     zi = flow.target_index
     s = float(m[:, zi].sum())
     r = 1.0 + float(m[:, flow.origin_index].sum())
-    pot = _potential(flow)
+    pot = flow._pot
     gam = 0.0
     for i in np.flatnonzero(m[:, zi]):
         if math.isnan(pot[i]):

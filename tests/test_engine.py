@@ -213,16 +213,59 @@ def pmf_graphs(corpus_sample):
             + corpus_sample[:50])
 
 
+def assert_pmf_matches_stepping(g, horizon):
+    stats = engine.hitting_time_pmf(g, horizon=horizon)
+    pmf, survival = stepped_pmf(g, stats.horizon)
+    assert np.array_equal(stats.pmf == 0.0, pmf == 0.0)
+    np.testing.assert_allclose(stats.pmf, pmf, rtol=1e-11, atol=0.0)
+    assert stats.survival_mass == pytest.approx(survival, rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("horizon", [0, 1, 2, 63, 64, 65, 1000, None])
 def test_blocked_pmf_matches_stepping(pmf_graphs, horizon):
     for g in pmf_graphs:
-        stats = engine.hitting_time_pmf(g, horizon=horizon)
-        pmf, survival = stepped_pmf(g, stats.horizon)
-        assert np.array_equal(stats.pmf == 0.0, pmf == 0.0)
-        np.testing.assert_allclose(stats.pmf, pmf, rtol=1e-11, atol=0.0)
-        assert stats.survival_mass == pytest.approx(survival, rel=1e-11, abs=0.0)
+        assert_pmf_matches_stepping(g, horizon)
     # unit_path(60) is bipartite with an even distance: odd times are impossible
     assert not engine.hitting_time_pmf(pmf_graphs[0], horizon=horizon).pmf[1::2].any()
+
+
+# Above 200 live vertices: CSR steps up to horizon 65, dense blocks at 3000
+@pytest.mark.parametrize("horizon", [0, 1, 63, 64, 65, 3000])
+def test_wide_path_pmf_matches_stepping(horizon):
+    assert_pmf_matches_stepping(unit_path(300), horizon)
+
+
+@pytest.mark.parametrize("seed", [None, 9])
+def test_wide_tree_pmf_matches_stepping(seed):
+    g = tree_line(3, [4, 4], 7)  # 247 live vertices
+    assert_pmf_matches_stepping(g if seed is None else relabel(g, seed), 8000)
+
+
+def pmf_doublings(g, horizon=None):
+    """engine._pmf_doublings on g's live vertices and horizon."""
+    kz = engine._kernel(g)
+    alive = kz.comp[~kz.at_target]
+    _, c, _ = engine._restrict(g, alive)
+    if horizon is None:
+        horizon = engine.default_horizon(g, engine.expected_hitting_time(g))
+    return engine._pmf_doublings(len(alive), int((c >= 0).sum()), horizon)
+
+
+def test_pmf_path_chosen_by_cost():
+    # one doubling only: every 2-step block is a dense 1499 x 1499 matvec
+    assert pmf_doublings(fast_path(1500, 1.01), 4000) is None
+    assert pmf_doublings(unit_path(300)) == 6
+    assert pmf_doublings(tree_line(3, [4, 4], 7), 8000) == 6
+    # corpus graphs (at most 12 live vertices) stay dense at every horizon
+    horizons = [*range(2000), 2_000_000, engine.PMF_HORIZON_CAP]
+    for m in range(1, 13):
+        for nnz in (0, m * m):
+            assert all(engine._pmf_doublings(m, nnz, h) is not None
+                       for h in horizons)
+    # kept powers are capped at DENSE_VERTEX_LIMIT vertices
+    m = engine.DENSE_VERTEX_LIMIT
+    assert engine._pmf_doublings(m, m * m, 10**6) == 6
+    assert engine._pmf_doublings(m + 1, (m + 1) ** 2, 10**6) is None
 
 
 def test_pmf_stops_once_walk_is_absorbed():

@@ -351,6 +351,17 @@ def test_flow_report_assembles_one_kernel(count_calls):
     assert len(built) == 1
 
 
+def test_flow_report_runs_one_potential_per_flow(count_calls, corpus_sample):
+    built = count_calls(flows, "build_flow")
+    searched = count_calls(flows, "_potential")
+    assert corpus.flow_report(corpus_sample[:4])["all_pass"]
+    assert len(built) == 12
+    assert len(searched) == 12
+    assert len({id(args[0]) for args in searched}) == 12
+    pot = searched[0][0]._pot
+    assert not pot.flags.writeable
+
+
 def test_decompose_unreachable_target_is_all_dead():
     g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)], origin=0, targets=[3])
     dec = decompose(build_flow(g, 0.5))

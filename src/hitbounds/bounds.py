@@ -35,6 +35,7 @@ from .graph import WeightedGraph
 from .refwalk import ParameterError, _as_int, advance_pgf, rate_function
 
 _A_GRID_COUNT = 12
+_SLACK = 1e-9  # relative room granted to roundoff when a bound meets an exact value
 _VACUOUS_EXCESS = 1e-12  # g - 1 below this: treat bounds as vacuous
 _TAIL_HORIZON_CAP = 2_000_000  # tail checks beyond this many steps are skipped
 
@@ -148,12 +149,12 @@ def poly_mean_asymptote(n: float, p: float = 0.0) -> float:
     return 2.0 * n * n / ((p + 2.0) * math.log(n))
 
 
-def default_a_grid(g: float, count: int = _A_GRID_COUNT):
-    """Geometric grid m^(1/(count+1)), ..., m^(count/(count+1)) inside (1, m)."""
+def default_a_grid(g: float):
+    """The _A_GRID_COUNT = 12 points m^(i/13) inside (1, m), m = (g+1)/(g-1)."""
     if g - 1.0 <= _VACUOUS_EXCESS:
         return ()
     m = (g + 1.0) / (g - 1.0)
-    return tuple(m ** (i / (count + 1)) for i in range(1, count + 1))
+    return tuple(m ** (i / (_A_GRID_COUNT + 1)) for i in range(1, _A_GRID_COUNT + 1))
 
 
 def default_beta_grid():
@@ -171,8 +172,9 @@ class BoundCheck:
     kind is "mean", "tail" or "transform"; source names the drift parameter
     ("weight_ratio" or "resistance"); param is the grid value (a or beta).
     margin is the relative room to spare: positive means strictly inside the
-    bound.  Vacuous checks (degenerate drift, underflowed S_beta or tail
-    probability) pass.
+    bound.  passed allows a relative _SLACK of roundoff, so a check within
+    1e-9 of its bound passes with a margin just below 0.  Vacuous checks
+    (degenerate drift, underflowed S_beta or tail probability) pass.
     """
 
     kind: str
@@ -227,25 +229,31 @@ class BoundReport:
 
 
 def _trivial_report(n, ratio, resistance, expected, note):
-    report = BoundReport(n=n, ratio=ratio, resistance=resistance,
-                         expected=expected, drift={})
-    report.checks.append(BoundCheck(
-        kind="mean", source="trivial", g=math.inf, param=None,
-        bound=1.0, observed=expected, margin=math.inf, passed=expected >= 1.0,
-        vacuous=True))
-    report.notes.append(note)
-    return report
+    check = BoundCheck(kind="mean", source="trivial", g=math.inf, param=None,
+                       bound=1.0, observed=expected, margin=math.inf,
+                       passed=expected >= 1.0, vacuous=True)
+    return BoundReport(n=n, ratio=ratio, resistance=resistance,
+                       expected=expected, drift={}, checks=[check], notes=[note])
 
 
-def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
-                   slack: float = 1e-9) -> BoundReport:
+def _upper_check(kind, source, g, param, bound, observed, vacuous):
+    """The check observed <= bound, up to a relative _SLACK of roundoff."""
+    return BoundCheck(
+        kind=kind, source=source, g=g, param=param, bound=bound,
+        observed=observed,
+        margin=(bound - observed) / bound if bound > 0 else math.inf,
+        passed=observed <= bound * (1.0 + _SLACK) + 1e-300, vacuous=vacuous)
+
+
+def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundReport:
     """Evaluate every drift bound on a graph against exact statistics.
 
     The graph is normalized first (contract targets, drop inaccessible
     pockets); this can only tighten the bounds and never changes the hitting
-    law.  slack is the relative tolerance granted to roundoff when comparing
-    a bound with an exact value.  Tail thresholds beyond _TAIL_HORIZON_CAP
-    steps are skipped (noted in the report).
+    law.  A check passes within a relative _SLACK = 1e-9 of its bound, room
+    for roundoff in the exact values.  a_grid and beta_grid default to
+    default_a_grid(g) per drift and default_beta_grid().  Tail thresholds
+    beyond _TAIL_HORIZON_CAP steps are skipped (noted in the report).
     """
     work = graph.normalized()
     d = work.distance(work.origin)
@@ -263,7 +271,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
     u_a = _drift_log_excess(n, ratio)
     g_a = math.exp(u_a)
     excess_a = math.expm1(u_a)
-    g_b = (work.set_weight() * resistance) ** (1.0 / n)
+    g_b = drift_from_resistance(work)
     excess_b = g_b - 1.0
     drift = {"weight_ratio": g_a, "resistance": g_b}
     if n >= 3:
@@ -274,19 +282,17 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
     sources = [("weight_ratio", g_a, excess_a), ("resistance", g_b, excess_b)]
 
     for source, g, excess in sources:
-        vacuous = excess <= _VACUOUS_EXCESS
-        if vacuous:
-            bound = math.inf
+        if excess <= _VACUOUS_EXCESS:
             report.checks.append(BoundCheck(
-                kind="mean", source=source, g=g, param=None, bound=bound,
+                kind="mean", source=source, g=g, param=None, bound=math.inf,
                 observed=expected, margin=math.inf, passed=True, vacuous=True))
             report.notes.append(f"{source}: drift degenerate, mean bound vacuous")
             continue
         bound = (1.0 + 2.0 / excess) * n + 1.0  # (g+1)/(g-1) n + 1 via the excess
-        passed = expected >= bound * (1.0 - slack)
         report.checks.append(BoundCheck(
             kind="mean", source=source, g=g, param=None, bound=bound,
-            observed=expected, margin=expected / bound - 1.0, passed=passed))
+            observed=expected, margin=expected / bound - 1.0,
+            passed=expected >= bound * (1.0 - _SLACK)))
 
     grids = {}
     for source, g, excess in sources:
@@ -323,12 +329,8 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
                 report.notes.append(
                     f"{source}: tail at a={a:.6g}: P(T <= {threshold}) "
                     "underflowed to 0, check vacuous")
-            passed = observed <= bound * (1.0 + slack) + 1e-300
-            margin = (bound - observed) / bound if bound > 0 else math.inf
-            report.checks.append(BoundCheck(
-                kind="tail", source=source, g=g, param=float(a), bound=bound,
-                observed=observed, margin=margin, passed=passed,
-                vacuous=underflow))
+            report.checks.append(_upper_check(
+                "tail", source, g, float(a), bound, observed, underflow))
 
     betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
     for beta in betas:
@@ -338,11 +340,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None,
             report.notes.append(f"transform at beta={beta:.6g}: S_beta underflowed "
                                 "to 0, checks vacuous")
         for source, g, excess in sources:
-            bound = transform_upper_bound(n, g, beta)
-            passed = observed <= bound * (1.0 + slack) + 1e-300
-            margin = (bound - observed) / bound if bound > 0 else math.inf
-            report.checks.append(BoundCheck(
-                kind="transform", source=source, g=g, param=float(beta),
-                bound=bound, observed=observed, margin=margin, passed=passed,
-                vacuous=underflow))
+            report.checks.append(_upper_check(
+                "transform", source, g, float(beta),
+                transform_upper_bound(n, g, beta), observed, underflow))
     return report

@@ -26,35 +26,12 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, bounds, corpus, engine, flows, generators, montecarlo
 from .graph import WeightedGraph, read_graph_file, serialize, write_text_atomic
 from .refwalk import BiasedWalk, ParameterError
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a command ran with: enough to reproduce its outputs bit for bit."""
-
-    command: str
-    parameters: dict
-    input_hashes: dict
-    seed: object
-    artifact_version: str
-    outputs: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": dict(self.parameters),
-            "input_hashes": dict(self.input_hashes),
-            "seed": self.seed,
-            "artifact_version": self.artifact_version,
-            "outputs": list(self.outputs),
-        }
 
 
 def _sha256_file(path) -> str:
@@ -86,20 +63,23 @@ def _jsonable(obj):
     return obj
 
 
-def _manifest(args, command: str, inputs=()) -> RunManifest:
-    params = {k: _jsonable(v) for k, v in sorted(vars(args).items())
-              if k != "func"}
-    hashes = {str(p): _sha256_file(p) for p in inputs}
+def _manifest(args, command: str, inputs=()) -> dict:
+    """What a command ran with: enough to reproduce its outputs bit for bit."""
     out = getattr(args, "out", None)
-    return RunManifest(command=command, parameters=params, input_hashes=hashes,
-                       seed=getattr(args, "seed", None),
-                       artifact_version=__version__,
-                       outputs=(str(out),) if out else ())
+    return {
+        "command": command,
+        "parameters": {k: _jsonable(v) for k, v in sorted(vars(args).items())
+                       if k != "func"},
+        "input_hashes": {str(p): _sha256_file(p) for p in inputs},
+        "seed": getattr(args, "seed", None),
+        "artifact_version": __version__,
+        "outputs": [str(out)] if out else [],
+    }
 
 
-def _emit_json(payload: dict, out, manifest: RunManifest) -> None:
+def _emit_json(payload: dict, out, manifest: dict) -> None:
     payload = dict(payload)
-    payload["manifest"] = manifest.to_dict()
+    payload["manifest"] = manifest
     text = json.dumps(_jsonable(payload), indent=1, allow_nan=False) + "\n"
     if out:
         write_text_atomic(text, out)
@@ -107,11 +87,10 @@ def _emit_json(payload: dict, out, manifest: RunManifest) -> None:
         sys.stdout.write(text)
 
 
-def _emit_text(text: str, out, manifest: RunManifest) -> None:
+def _emit_text(text: str, out, manifest: dict) -> None:
     if out:
         write_text_atomic(text, out)
-        sidecar = json.dumps(_jsonable(manifest.to_dict()), indent=1,
-                             allow_nan=False) + "\n"
+        sidecar = json.dumps(_jsonable(manifest), indent=1, allow_nan=False) + "\n"
         write_text_atomic(sidecar, str(out) + ".manifest.json")
     else:
         sys.stdout.write(text)
@@ -306,7 +285,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_corpus_check(args) -> int:
-    betas = tuple(args.beta_grid) if args.beta_grid else (0.2, 0.5, 0.8)
+    betas = tuple(args.beta_grid) if args.beta_grid else corpus.FLOW_BETAS
     reports = corpus.run_all(count=args.count, seed=args.seed,
                              flow_count=args.flow_count, flow_betas=betas)
     _emit_json(dict(reports), args.out, _manifest(args, "corpus-check"))

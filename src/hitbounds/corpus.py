@@ -33,13 +33,15 @@ from .refwalk import _as_int
 
 DEFAULT_SEED = 20260823
 DEFAULT_COUNT = 1000
+FLOW_BETAS = (0.2, 0.5, 0.8)
+_ESTIMATE_PAIRS = 100
 
 
-def corpus_graph(index: int, seed: int = DEFAULT_SEED, max_vertices: int = 12):
+def corpus_graph(index: int, seed: int = DEFAULT_SEED):
     """The index-th graph of the seeded corpus."""
     return random_graph(
         seed=(seed, index),
-        max_vertices=max_vertices,
+        max_vertices=12,
         weight_range=(0.1, 10.0),
         min_distance=3,
         self_loop_prob=1.0 if index % 5 == 3 else 0.0,
@@ -47,22 +49,19 @@ def corpus_graph(index: int, seed: int = DEFAULT_SEED, max_vertices: int = 12):
     )
 
 
-def standard_corpus(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
-                    max_vertices: int = 12):
-    return [corpus_graph(i, seed=seed, max_vertices=max_vertices)
-            for i in range(count)]
+def standard_corpus(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED):
+    return [corpus_graph(i, seed=seed) for i in range(count)]
 
 
-def bound_report(graphs, slack: float = 1e-9, a_grid=None, beta_grid=None) -> dict:
-    """check_theorem1 over a corpus, aggregated."""
+def bound_report(graphs) -> dict:
+    """check_theorem1 at its default grids over a corpus, aggregated."""
     start = time.monotonic()
     failures = []
     count = checks = 0
     min_margin = math.inf
     for i, graph in enumerate(graphs):
         count += 1
-        report = bounds.check_theorem1(graph, a_grid=a_grid,
-                                       beta_grid=beta_grid, slack=slack)
+        report = bounds.check_theorem1(graph)
         checks += len(report.checks)
         min_margin = min(min_margin, report.min_margin())
         failures.extend(
@@ -81,7 +80,7 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def flow_report(graphs, betas=(0.2, 0.5, 0.8)) -> dict:
+def flow_report(graphs, betas=FLOW_BETAS) -> dict:
     """Flow laws, decomposition laws and array identities over a corpus.
 
     Thresholds: node law 1e-10, cycle gap 1e-9, parameter agreement with
@@ -176,8 +175,8 @@ def flow_report(graphs, betas=(0.2, 0.5, 0.8)) -> dict:
     }
 
 
-def commute_report(graphs, tol: float = 1e-9) -> dict:
-    """E[T there] + E[T back] = total weight * resistance, after contraction."""
+def commute_report(graphs) -> dict:
+    """E[T there] + E[T back] = total weight * resistance (to 1e-9), once contracted."""
     start = time.monotonic()
     failures = []
     count = 0
@@ -191,7 +190,7 @@ def commute_report(graphs, tol: float = 1e-9) -> dict:
         product = work.total_weight() * engine.effective_resistance(work)
         gap = _relative_gap(there + back, product)
         worst = max(worst, gap)
-        if gap >= tol:
+        if gap >= 1e-9:
             failures.append({"graph": i, "gap": gap})
     return {
         "graphs": count,
@@ -202,11 +201,14 @@ def commute_report(graphs, tol: float = 1e-9) -> dict:
     }
 
 
-def estimate_report(count: int = 100, seed: int = DEFAULT_SEED) -> dict:
-    """drift_upper_estimate dominates solve_drift and over-satisfies the equation."""
+def estimate_report(seed: int = DEFAULT_SEED) -> dict:
+    """drift_upper_estimate dominates solve_drift and over-satisfies the equation.
+
+    Checked on _ESTIMATE_PAIRS seeded random (n, ratio) pairs.
+    """
     rng = np.random.Generator(np.random.Philox(key=(seed, 0x9E3779B9)))
     failures = []
-    for _ in range(count):
+    for _ in range(_ESTIMATE_PAIRS):
         n = int(rng.integers(3, 41))
         ratio = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e6))))
         g_exact = bounds.solve_drift(n, ratio)
@@ -218,11 +220,11 @@ def estimate_report(count: int = 100, seed: int = DEFAULT_SEED) -> dict:
         if lhs < 2.0 * ratio * (1.0 - 1e-12):
             failures.append({"n": n, "ratio": ratio, "kind": "equation",
                              "lhs": lhs, "rhs": 2.0 * ratio})
-    return {"pairs": count, "failures": failures, "all_pass": not failures}
+    return {"pairs": _ESTIMATE_PAIRS, "failures": failures, "all_pass": not failures}
 
 
 def run_all(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
-            flow_count: int = 200, flow_betas=(0.2, 0.5, 0.8)) -> dict:
+            flow_count: int = 200, flow_betas=FLOW_BETAS) -> dict:
     """Every suite on the standard corpus; the corpus-check command's payload."""
     count = _as_int(count, "count", 1)
     flow_count = _as_int(flow_count, "flow_count", 0)

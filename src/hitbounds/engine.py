@@ -233,11 +233,12 @@ class HittingStats:
         return len(self.pmf) - 1
 
     def cdf_at(self, x: float) -> float:
-        """P(T <= x) from the tabulated pmf (x may be fractional)."""
-        k = min(int(math.floor(x)), self.horizon)
-        if k < 0:
+        """P(T <= x) from the tabulated pmf (x may be fractional or infinite)."""
+        if math.isnan(x):
+            raise GraphError("cdf_at needs a number, got nan")
+        if x < 0:
             return 0.0
-        return float(self.pmf[: k + 1].sum())
+        return float(self.pmf[: int(min(x, self.horizon)) + 1].sum())
 
 
 def default_horizon(graph: WeightedGraph, expected: float) -> int:
@@ -347,10 +348,10 @@ class WalkParameters:
         p.validate()
         return p
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if not -tol <= self.survival <= 1.0 + tol:
+    def validate(self) -> None:
+        if not -1e-9 <= self.survival <= 1.0 + 1e-9:
             raise GraphError(f"survival {self.survival} outside [0, 1]")
-        if self.visits < 1.0 - tol:
+        if self.visits < 1.0 - 1e-9:
             raise GraphError(f"visit count {self.visits} below 1")
         expect = math.inf if self.graph is None else _gamma(self.graph, self.visits)
         if (math.isfinite(expect)

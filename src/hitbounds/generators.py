@@ -32,12 +32,9 @@ from .refwalk import ParameterError, _as_int
 _MAX_VERTICES = 2_000_000
 
 
-_check_int = _as_int
-
-
 def unit_path(n: int) -> WeightedGraph:
     """Path 0 - 1 - ... - n with unit weights, origin 0, target n."""
-    _check_int(n, "n", 1)
+    _as_int(n, "n", 1)
     edges = [(i - 1, i, 1.0) for i in range(1, n + 1)]
     return WeightedGraph(edges, origin=0, targets=[n],
                          metadata={"generator": "unit_path", "n": n})
@@ -51,8 +48,8 @@ def biased_line(n: int, g: float, tail: int = 0) -> WeightedGraph:
     line; that horizon is recorded as safe_horizon (0 when tail = 0, where
     the origin sits on the boundary).
     """
-    _check_int(n, "n", 1)
-    _check_int(tail, "tail", 0)
+    _as_int(n, "n", 1)
+    _as_int(tail, "tail", 0)
     if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
         raise ParameterError(f"g must be positive, got {g!r}")
     g = float(g)
@@ -74,7 +71,7 @@ def fast_path(n: int, g: float) -> WeightedGraph:
     The family that makes the weight-ratio drift estimate asymptotically
     sharp; requires n >= 4 and g > 1.
     """
-    _check_int(n, "n", 4)
+    _as_int(n, "n", 4)
     if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 1):
         raise ParameterError(f"g must exceed 1, got {g!r}")
     g = float(g)
@@ -90,7 +87,7 @@ def fast_path(n: int, g: float) -> WeightedGraph:
 
 def fast_path_expected(n: int, g: float) -> float:
     """Closed-form expected hitting time of fast_path(n, g)."""
-    _check_int(n, "n", 4)
+    _as_int(n, "n", 4)
     if not g > 1:
         raise ParameterError(f"g must exceed 1, got {g!r}")
     g = float(g)
@@ -103,7 +100,7 @@ def fast_path_resistance(n: int, g: float) -> float:
     Sum of reciprocal edge weights: 1 + g (1 - g^(2-n)) / (g-1)^2
     + g^(3-n) / (g-1)^2.
     """
-    _check_int(n, "n", 4)
+    _as_int(n, "n", 4)
     if not g > 1:
         raise ParameterError(f"g must exceed 1, got {g!r}")
     g = float(g)
@@ -177,13 +174,13 @@ def tree_line(g: int, depths, length: int) -> WeightedGraph:
     endpoint plus every tree vertex at at least that distance.  Line vertices
     are integers, tree vertices strings "t<anchor>/<level>/<ordinal>".
     """
-    _check_int(g, "g", 2)
-    _check_int(length, "length", 1)
+    _as_int(g, "g", 2)
+    _as_int(length, "length", 1)
     depths = list(depths)
     if len(depths) > length:
         raise ParameterError("more tree anchors than interior line vertices")
     for d in depths:
-        _check_int(d, "tree depth", 0)
+        _as_int(d, "tree depth", 0)
     count = length + 1 + sum(g * (g**d - 1) // (g - 1) for d in depths)
     if count > _MAX_VERTICES:
         raise GraphError(f"{count} vertices exceeds the {_MAX_VERTICES} cap")
@@ -221,9 +218,9 @@ def random_graph(seed, max_vertices: int = 12, weight_range=(0.1, 10.0),
     The same seed always yields the same graph (counter-based generator).
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    _check_int(max_vertices, "max_vertices", 2)
-    _check_int(min_distance, "min_distance", 1)
-    _check_int(extra_targets, "extra_targets", 0)
+    _as_int(max_vertices, "max_vertices", 2)
+    _as_int(min_distance, "min_distance", 1)
+    _as_int(extra_targets, "extra_targets", 0)
     lo, hi = float(weight_range[0]), float(weight_range[1])
     if not 0.0 < lo <= hi:
         raise ParameterError(f"bad weight range {weight_range!r}")

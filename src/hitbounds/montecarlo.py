@@ -304,8 +304,8 @@ def estimate_tail(graph: WeightedGraph, a: float, n: int, config: SimConfig,
     max_steps must reach the threshold floor(a n + 1) so censoring cannot
     bias the count.
     """
-    if not a >= 1.0:
-        raise ParameterError(f"a must be at least 1, got {a!r}")
+    if not 1.0 <= a < math.inf:
+        raise ParameterError(f"a must be finite and at least 1, got {a!r}")
     threshold = math.floor(a * _as_int(n, "n", 1) + 1.0)
     if config.max_steps < threshold:
         raise ParameterError("max_steps must cover the tail threshold")

@@ -34,7 +34,7 @@ from hitbounds.refwalk import (
 
 @pytest.fixture(scope="module")
 def corpus_bound_report(full_corpus):
-    return corpus.bound_report(full_corpus, slack=1e-9)
+    return corpus.bound_report(full_corpus)
 
 
 def test_criterion_1_bound_soundness(corpus_bound_report):
@@ -114,7 +114,7 @@ def test_criterion_4_closed_forms(full_corpus):
             assert abs(res_exact - res_closed) <= 1e-12 * res_closed
             grid_points += 1
 
-    commute = corpus.commute_report(full_corpus, tol=1e-9)
+    commute = corpus.commute_report(full_corpus)
     assert commute["all_pass"]
     assert commute["graphs"] == 1000
     print(f"\n[criterion 4] PASS: unit paths n<=50, {grid_points} fast-path "
@@ -256,7 +256,7 @@ def test_criterion_8_monte_carlo_consistency(full_corpus):
 
 def test_criterion_9_drift_estimate_domination():
     """Explicit drift estimate dominates the exact drift on 100 pairs."""
-    rep = corpus.estimate_report(count=100)
+    rep = corpus.estimate_report()
     assert rep["pairs"] == 100
     assert rep["failures"] == []
     assert rep["all_pass"]

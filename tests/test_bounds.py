@@ -168,6 +168,33 @@ def test_check_filters_user_a_grid(corpus_sample):
     assert report.all_pass
 
 
+@pytest.mark.parametrize("kind", ["mean", "tail", "transform"])
+def test_check_fails_just_past_its_bound(kind, monkeypatch):
+    """A check fails 2 _SLACK past its bound and passes 0.5 _SLACK past it."""
+    graph = unit_path(6)
+    grids = {"a_grid": (1.5,), "beta_grid": (0.5,)}
+    honest = bounds.check_theorem1(graph, **grids)
+    assert honest.all_pass
+    # the tightest check of this kind; both sources share one observed value
+    check = max((c for c in honest.checks if c.kind == kind), key=lambda c: c.bound)
+    assert not check.vacuous
+    for step, passes in ((2.0 * bounds._SLACK, False), (0.5 * bounds._SLACK, True)):
+        if kind == "mean":  # E[T] just below the lower bound
+            monkeypatch.setattr(engine, "expected_hitting_time",
+                                lambda g: check.bound * (1.0 - step))
+        else:  # the upper bound just below the exact value
+            monkeypatch.setattr(bounds, f"{kind}_upper_bound",
+                                lambda *args: check.observed / (1.0 + step))
+        report = bounds.check_theorem1(graph, **grids)
+        [seen] = [c for c in report.checks
+                  if c.kind == kind and c.source == check.source]
+        assert seen.passed is passes
+        assert report.all_pass is passes
+        assert seen.margin == pytest.approx(-step, rel=1e-3)
+        assert report.min_margin() == seen.margin
+        assert (seen in report.failures()) is not passes
+
+
 def test_mean_bound_below_exact_on_sample(corpus_sample):
     for g in corpus_sample[:20]:
         report = bounds.check_theorem1(g)

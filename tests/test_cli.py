@@ -10,6 +10,10 @@ from hitbounds.graph import parse, read_graph_file, serialize, write_graph_file
 from hitbounds.generators import biased_line, fast_path, unit_path
 
 
+MANIFEST_KEYS = ["command", "parameters", "input_hashes", "seed",
+                 "artifact_version", "outputs"]
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -30,6 +34,7 @@ def test_analyze_unit_path(path5, tmp_path):
     assert doc["bounds"]["all_pass"] is True
     assert doc["pmf"]["median"] >= 5
     man = doc["manifest"]
+    assert list(man) == MANIFEST_KEYS
     assert man["command"] == "analyze"
     assert str(path5) in man["input_hashes"]
     assert man["outputs"] == [str(out)]
@@ -214,8 +219,14 @@ def test_simulate_deterministic_output(path5, tmp_path):
     assert lines[0] == "replication,statistic,k,value,censored"
     assert len(lines) == 51
     sidecar = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert list(sidecar) == MANIFEST_KEYS
     assert sidecar["seed"] == 3
     assert str(path5) in sidecar["input_hashes"]
+    # the sidecar is the manifest a JSON report embeds for the same arguments
+    args = cli.build_parser().parse_args(argv + ["--out", str(out1)])
+    report = tmp_path / "embedded.json"
+    cli._emit_json({}, report, cli._manifest(args, "simulate", [path5]))
+    assert json.loads(report.read_text())["manifest"] == sidecar
 
 
 def test_simulate_reference_walk(tmp_path):

@@ -193,8 +193,15 @@ def test_pmf_mass_and_mean(corpus_sample):
         assert mean <= stats.expected + 1e-9
         assert stats.survival_mass < 1e-3
         assert stats.cdf_at(-1) == 0.0
+        assert stats.cdf_at(-math.inf) == 0.0
         assert stats.cdf_at(stats.horizon) == pytest.approx(
             1.0 - stats.survival_mass, abs=1e-12)
+        whole = float(stats.pmf.sum())
+        assert stats.cdf_at(stats.horizon + 0.5) == whole
+        assert stats.cdf_at(1e300) == whole
+        assert stats.cdf_at(math.inf) == whole
+        with pytest.raises(GraphError):
+            stats.cdf_at(math.nan)
 
 
 def test_pmf_matches_survival_transform(corpus_sample):

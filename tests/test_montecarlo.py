@@ -331,6 +331,9 @@ def test_estimate_tail_validation():
         estimate_tail(g, 3.0, 3, cfg)  # threshold 10 beyond max_steps
     with pytest.raises(ParameterError):
         estimate_tail(g, 1.2, 3, cfg, level=1.0)
+    for a in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            estimate_tail(g, a, 3, cfg)
 
 
 def test_single_log_schedule_trend():

@@ -103,7 +103,6 @@ from .refwalk import (
     advance_pgf,
     advance_time_pmf,
     mean_advance_time,
-    poly_tail_exponent,
     position_tail,
     rate_function,
 )

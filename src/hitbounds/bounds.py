@@ -21,16 +21,18 @@ check_theorem1 evaluates all bounds on a graph against exact quantities from
 the linear-algebra engine and returns a BoundReport.  Graphs are first
 normalized (targets contracted to one vertex, inaccessible pockets dropped),
 which never loosens the bounds.  Bounds that degenerate (g extremely close
-to 1, unreachable target, S_beta or a tail probability underflowed to 0)
-are vacuous passes.
+to 1, unreachable target, S_beta or a tail probability underflowed to 0, a
+bound below the normal float range) are vacuous passes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import engine
+from .generators import _check_poly
 from .graph import WeightedGraph
 from .refwalk import ParameterError, _as_int, advance_pgf, rate_function
 
@@ -50,12 +52,14 @@ def _drift_log_excess(n: int, ratio: float) -> float:
     """log(g) for the root of (g-1)^2 g^(n-2) = 2 ratio, by bisection.
 
     Working in u = log g keeps full relative precision on g - 1 even when
-    the root is extremely close to 1 (g - 1 = expm1(u)).
+    the root is extremely close to 1 (g - 1 = expm1(u)).  From u = 700 on,
+    where expm1 nears overflow, log(expm1(u)) is u to double precision.
     """
     log_rhs = math.log(2.0) + math.log(ratio)
 
     def value(u):
-        return 2.0 * math.log(math.expm1(u)) + (n - 2) * u - log_rhs
+        log_excess = math.log(math.expm1(u)) if u < 700.0 else u
+        return 2.0 * log_excess + (n - 2) * u - log_rhs
 
     lo = 1e-300
     if value(lo) >= 0.0:
@@ -142,10 +146,7 @@ def transform_upper_bound(n: int, g: float, beta: float) -> float:
 
 def poly_mean_asymptote(n: float, p: float = 0.0) -> float:
     """2 n^2 / ((p+2) log n): the asymptote for polynomially-growing weight."""
-    if not n > 1:
-        raise ParameterError(f"n must exceed 1, got {n!r}")
-    if not p >= 0:
-        raise ParameterError(f"p must be nonnegative, got {p!r}")
+    _check_poly(n, p)
     return 2.0 * n * n / ((p + 2.0) * math.log(n))
 
 
@@ -173,8 +174,9 @@ class BoundCheck:
     ("weight_ratio" or "resistance"); param is the grid value (a or beta).
     margin is the relative room to spare: positive means strictly inside the
     bound.  passed allows a relative _SLACK of roundoff, so a check within
-    1e-9 of its bound passes with a margin just below 0.  Vacuous checks
-    (degenerate drift, underflowed S_beta or tail probability) pass.
+    1e-9 of its bound passes with a margin just below 0; no absolute floor
+    applies.  Vacuous checks (degenerate drift, underflowed S_beta or tail
+    probability, an upper bound below sys.float_info.min) pass.
     """
 
     kind: str
@@ -236,13 +238,22 @@ def _trivial_report(n, ratio, resistance, expected, note):
                        expected=expected, drift={}, checks=[check], notes=[note])
 
 
-def _upper_check(kind, source, g, param, bound, observed, vacuous):
-    """The check observed <= bound, up to a relative _SLACK of roundoff."""
-    return BoundCheck(
+def _upper_check(report, kind, source, g, param, bound, observed, vacuous):
+    """Add the check observed <= bound, up to a relative _SLACK of roundoff.
+
+    A bound below the smallest normal float has lost its relative precision,
+    so a live check against it becomes vacuous, with a note.
+    """
+    if bound < sys.float_info.min and not vacuous:
+        vacuous = True
+        name = "a" if kind == "tail" else "beta"
+        report.notes.append(f"{source}: {kind} bound at {name}={param:.6g} is "
+                            f"{bound:.3g}, below the normal range, check vacuous")
+    report.checks.append(BoundCheck(
         kind=kind, source=source, g=g, param=param, bound=bound,
         observed=observed,
         margin=(bound - observed) / bound if bound > 0 else math.inf,
-        passed=observed <= bound * (1.0 + _SLACK) + 1e-300, vacuous=vacuous)
+        passed=vacuous or observed <= bound * (1.0 + _SLACK), vacuous=vacuous))
 
 
 def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundReport:
@@ -329,8 +340,8 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                 report.notes.append(
                     f"{source}: tail at a={a:.6g}: P(T <= {threshold}) "
                     "underflowed to 0, check vacuous")
-            report.checks.append(_upper_check(
-                "tail", source, g, float(a), bound, observed, underflow))
+            _upper_check(report, "tail", source, g, float(a), bound, observed,
+                         underflow)
 
     betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
     for beta in betas:
@@ -340,7 +351,6 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
             report.notes.append(f"transform at beta={beta:.6g}: S_beta underflowed "
                                 "to 0, checks vacuous")
         for source, g, excess in sources:
-            report.checks.append(_upper_check(
-                "transform", source, g, float(beta),
-                transform_upper_bound(n, g, beta), observed, underflow))
+            _upper_check(report, "transform", source, g, float(beta),
+                         transform_upper_bound(n, g, beta), observed, underflow)
     return report

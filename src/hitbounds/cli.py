@@ -256,7 +256,7 @@ def _cmd_sweep(args) -> int:
             g = args.g if args.g is not None else generators.poly_growth_drift(n, p)
             closed = generators.fast_path_expected(n, g)
             res = generators.fast_path_resistance(n, g)
-            w_last = (g - 1.0) ** 2 * g ** (n - 3)
+            w_last = generators._fast_last_weight(n, g)
             build = lambda: generators.fast_path(n, g)
         elif args.family == "unit_path":
             g = None

@@ -42,8 +42,6 @@ def corpus_graph(index: int, seed: int = DEFAULT_SEED):
     return random_graph(
         seed=(seed, index),
         max_vertices=12,
-        weight_range=(0.1, 10.0),
-        min_distance=3,
         self_loop_prob=1.0 if index % 5 == 3 else 0.0,
         extra_targets=1 if index % 11 == 7 else 0,
     )

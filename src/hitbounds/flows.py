@@ -50,6 +50,11 @@ class DecompositionError(FlowError):
 _ADMISSIBLE_SLACK = 1e-12
 
 
+def _check_beta(beta) -> None:
+    if not 0.0 < beta < 1.0:
+        raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
+
+
 @dataclass(eq=False)
 class LossFlow:
     """A damped origin-to-target flow on a labelled vertex set.
@@ -69,8 +74,7 @@ class LossFlow:
     graph: WeightedGraph | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise FlowError(f"beta must lie in (0, 1), got {self.beta!r}")
+        _check_beta(self.beta)
         self.labels = tuple(self.labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -100,8 +104,7 @@ def build_flow(graph: WeightedGraph, beta: float) -> LossFlow:
     inaccessible pockets dropped (neither changes the hitting law).  The
     returned flow lives on the normalized graph.
     """
-    if not 0.0 < beta < 1.0:
-        raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
+    _check_beta(beta)
     work = graph.normalized()
     comp, vals = engine.green_row(work, beta)
     green = np.zeros(work.n)
@@ -253,8 +256,7 @@ def path_flow(path, thetas, beta: float) -> LossFlow:
     if len(thetas) != len(path) - 2:
         raise FlowError(
             f"expected {len(path) - 2} interior ratios, got {len(thetas)}")
-    if not 0.0 < beta < 1.0:
-        raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
+    _check_beta(beta)
     forward, backward = _path_flow_values(thetas, beta)
     labels = tuple(sorted(path, key=_label_key))
     index = {x: i for i, x in enumerate(labels)}
@@ -282,8 +284,7 @@ def s_value(flow: LossFlow, x, y) -> float:
 
 def h_transform(s: float, beta: float) -> float:
     """h(s) = s (1 - s beta) / (beta - s), increasing on 0 <= s < beta."""
-    if not 0.0 < beta < 1.0:
-        raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
+    _check_beta(beta)
     if not 0.0 <= s < beta:
         raise FlowError(f"s must lie in [0, beta), got {s!r}")
     return s * (1.0 - s * beta) / (beta - s)
@@ -343,12 +344,6 @@ class FlowDecomposition:
     def reconstruction_error(self) -> float:
         """Largest absolute difference from the original flow matrix."""
         return float(np.abs(self.reconstruct() - self.flow.matrix).max())
-
-    def dead_flow(self):
-        """The normalized dead-end flow, or None when its weight vanishes."""
-        if self.dead_alpha <= 0.0:
-            return None
-        return self.dead_matrix / self.dead_alpha
 
     def laws(self) -> dict:
         """Numerical summary of everything the decomposition must satisfy."""
@@ -549,8 +544,7 @@ def gamma_chain_bound(graph: WeightedGraph, beta: float) -> tuple:
     The bound follows from the per-edge h factorization: spreading the
     total progress evenly over n edges minimizes the product.
     """
-    if not 0.0 < beta < 1.0:
-        raise FlowError(f"beta must lie in (0, 1), got {beta!r}")
+    _check_beta(beta)
     work = graph.normalized()
     d = work.distance(work.origin)
     if not math.isfinite(d) or d < 2:

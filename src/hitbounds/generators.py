@@ -27,9 +27,10 @@ import math
 import numpy as np
 
 from .graph import GraphError, WeightedGraph, _hops, _label_key
-from .refwalk import ParameterError, _as_int
+from .refwalk import ParameterError, _as_int, _check_drift
 
 _MAX_VERTICES = 2_000_000
+_MIN_DISTANCE = 3  # random_graph: dist(origin, targets) at least this
 
 
 def unit_path(n: int) -> WeightedGraph:
@@ -50,9 +51,7 @@ def biased_line(n: int, g: float, tail: int = 0) -> WeightedGraph:
     """
     _as_int(n, "n", 1)
     _as_int(tail, "tail", 0)
-    if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
-        raise ParameterError(f"g must be positive, got {g!r}")
-    g = float(g)
+    g = _check_drift(g)
     log_g = math.log(g) if g != 1.0 else 0.0
     worst = max(abs((n - 1) * log_g), abs(tail * log_g))
     if worst > 700.0:
@@ -65,32 +64,40 @@ def biased_line(n: int, g: float, tail: int = 0) -> WeightedGraph:
                   "safe_horizon": min(tail, n) if tail > 0 else 0})
 
 
+def _check_fast(n, g) -> float:
+    """Validate the fast_path arguments n >= 4 and finite g > 1; returns float(g)."""
+    _as_int(n, "n", 4)
+    if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 1):
+        raise ParameterError(f"g must exceed 1, got {g!r}")
+    return float(g)
+
+
+def _fast_last_weight(n: int, g: float) -> float:
+    """(g-1)^2 g^(n-3), the heaviest fast_path weight, checked to fit a float."""
+    if (n - 3) * math.log(g) + 2.0 * math.log(g - 1.0) > 700.0:
+        raise GraphError(f"weights overflow float range for n={n}, g={g}")
+    return (g - 1.0) ** 2 * g ** (n - 3)
+
+
 def fast_path(n: int, g: float) -> WeightedGraph:
     """Path 0..n with weights 1, (g-1) g^(i-2) for 2 <= i <= n-1, (g-1)^2 g^(n-3).
 
     The family that makes the weight-ratio drift estimate asymptotically
     sharp; requires n >= 4 and g > 1.
     """
-    _as_int(n, "n", 4)
-    if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 1):
-        raise ParameterError(f"g must exceed 1, got {g!r}")
-    g = float(g)
-    if (n - 3) * math.log(g) + 2.0 * math.log(g - 1.0) > 700.0:
-        raise GraphError(f"weights overflow float range for n={n}, g={g}")
+    g = _check_fast(n, g)
+    last = _fast_last_weight(n, g)
     edges = [(0, 1, 1.0)]
     for i in range(2, n):
         edges.append((i - 1, i, (g - 1.0) * g ** (i - 2)))
-    edges.append((n - 1, n, (g - 1.0) ** 2 * g ** (n - 3)))
+    edges.append((n - 1, n, last))
     return WeightedGraph(edges, origin=0, targets=[n],
                          metadata={"generator": "fast_path", "n": n, "g": g})
 
 
 def fast_path_expected(n: int, g: float) -> float:
     """Closed-form expected hitting time of fast_path(n, g)."""
-    _as_int(n, "n", 4)
-    if not g > 1:
-        raise ParameterError(f"g must exceed 1, got {g!r}")
-    g = float(g)
+    g = _check_fast(n, g)
     return 2.0 * (n - 2) / (g - 1.0) + 2.0 * g / (g - 1.0) ** 2 + float(n)
 
 
@@ -100,12 +107,17 @@ def fast_path_resistance(n: int, g: float) -> float:
     Sum of reciprocal edge weights: 1 + g (1 - g^(2-n)) / (g-1)^2
     + g^(3-n) / (g-1)^2.
     """
-    _as_int(n, "n", 4)
-    if not g > 1:
-        raise ParameterError(f"g must exceed 1, got {g!r}")
-    g = float(g)
+    g = _check_fast(n, g)
     mid = g * (1.0 - g ** (2 - n)) / (g - 1.0) ** 2
     return 1.0 + mid + g ** (3 - n) / (g - 1.0) ** 2
+
+
+def _check_poly(n, p) -> None:
+    """The polynomial family's domain: n > 1 and p >= 0."""
+    if not (isinstance(p, (int, float)) and p >= 0):
+        raise ParameterError(f"p must be nonnegative, got {p!r}")
+    if not (isinstance(n, (int, float)) and n > 1):
+        raise ParameterError(f"n must exceed 1, got {n!r}")
 
 
 def poly_growth_drift(n: float, p: float = 0.0) -> float:
@@ -115,10 +127,7 @@ def poly_growth_drift(n: float, p: float = 0.0) -> float:
     logarithms; for this drift the expected hitting time is asymptotically
     2 n^2 / ((p+2) log n).  Requires (p+2) log n > 1.
     """
-    if not (isinstance(p, (int, float)) and p >= 0):
-        raise ParameterError(f"p must be nonnegative, got {p!r}")
-    if not (isinstance(n, (int, float)) and n > 1):
-        raise ParameterError(f"n must exceed 1, got {n!r}")
+    _check_poly(n, p)
     level = (p + 2.0) * math.log(n)
     if level <= 1.0:
         raise ParameterError(f"(p+2) log n must exceed 1, got {level}")
@@ -207,24 +216,19 @@ def tree_line(g: int, depths, length: int) -> WeightedGraph:
                   "length": length, "safe_horizon": length})
 
 
-def random_graph(seed, max_vertices: int = 12, weight_range=(0.1, 10.0),
-                 min_distance: int = 3, extra_targets: int = 0,
+def random_graph(seed, max_vertices: int = 12, extra_targets: int = 0,
                  self_loop_prob: float = 0.0) -> WeightedGraph:
-    """Seeded random connected graph with dist(origin, targets) >= min_distance.
+    """Seeded random connected graph with dist(origin, targets) >= 3.
 
     Construction: a uniform random recursive tree plus a few random chords,
-    log-uniform weights in weight_range, optionally one self-loop; the
+    log-uniform weights in [0.1, 10], optionally one self-loop; the
     origin/target pair is drawn uniformly from all pairs far enough apart.
     The same seed always yields the same graph (counter-based generator).
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     _as_int(max_vertices, "max_vertices", 2)
-    _as_int(min_distance, "min_distance", 1)
     _as_int(extra_targets, "extra_targets", 0)
-    lo, hi = float(weight_range[0]), float(weight_range[1])
-    if not 0.0 < lo <= hi:
-        raise ParameterError(f"bad weight range {weight_range!r}")
-    low_n = min(max(min_distance + 1, 5), max_vertices)
+    low_n = min(5, max_vertices)
 
     for _ in range(400):
         n = int(rng.integers(low_n, max_vertices + 1))
@@ -238,7 +242,8 @@ def random_graph(seed, max_vertices: int = 12, weight_range=(0.1, 10.0),
             v = int(rng.integers(0, n))
             pairs.append((v, v))
         pairs = sorted(set(pairs))
-        weights = np.exp(rng.uniform(math.log(lo), math.log(hi), size=len(pairs)))
+        weights = np.exp(rng.uniform(math.log(0.1), math.log(10.0),
+                                     size=len(pairs)))
         edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
 
         graph = WeightedGraph(edges, origin=0, targets=[n - 1])
@@ -248,14 +253,14 @@ def random_graph(seed, max_vertices: int = 12, weight_range=(0.1, 10.0),
         far_pairs = []
         for o in range(n):
             far_pairs.extend((o, v) for v in range(n)
-                             if v != o and all_dists[o][v] >= min_distance)
+                             if v != o and all_dists[o][v] >= _MIN_DISTANCE)
         if not far_pairs:
             continue
         o, z = far_pairs[int(rng.integers(0, len(far_pairs)))]
         targets = [z]
         if extra_targets:
             pool = [v for v in range(n)
-                    if v not in (o, z) and all_dists[o][v] >= min_distance]
+                    if v not in (o, z) and all_dists[o][v] >= _MIN_DISTANCE]
             rng.shuffle(pool)
             targets.extend(pool[:extra_targets])
         return graph.replace(
@@ -263,5 +268,5 @@ def random_graph(seed, max_vertices: int = 12, weight_range=(0.1, 10.0),
             metadata={"generator": "random_graph",
                       "seed": list(seed) if isinstance(seed, (tuple, list)) else seed,
                       "max_vertices": max_vertices,
-                      "min_distance": min_distance})
+                      "min_distance": _MIN_DISTANCE})
     raise GraphError("could not generate a graph meeting the distance constraint")

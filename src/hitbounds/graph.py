@@ -65,9 +65,10 @@ class WeightedGraph:
     """Immutable weighted graph with origin and targets.
 
     Treat instances as frozen: all derived data (canonical indexing, vertex
-    weights, adjacency) is computed once at construction.  The normalized
-    graph and the engine's walk record (the killed kernel K_z, E[T] and the
-    Green row per beta, each solved on first use) are cached on the instance.
+    weights, adjacency, the target weight w_z) is computed once at
+    construction.  The normalized graph and the engine's walk record (the
+    killed kernel K_z, E[T] and the Green row per beta, each solved on first
+    use) are cached on the instance.
     The hitting-time pmf is not kept (see hitbounds.engine).
     """
 
@@ -126,6 +127,8 @@ class WeightedGraph:
         self.vertex_weights = np.array(
             [math.fsum(nbrs.values()) for nbrs in adj], dtype=float
         )
+        self._set_weight = math.fsum(
+            self.vertex_weights[i] for i in sorted(self.target_indices))
 
     @staticmethod
     def _check_weight(u, v, w):
@@ -148,11 +151,12 @@ class WeightedGraph:
         """Total weight w_x incident to x; a self-loop counts once."""
         return float(self.vertex_weights[self.index[x]])
 
-    def set_weight(self, vertices=None) -> float:
-        """Sum of vertex weights over a vertex set (default: the targets)."""
-        if vertices is None:
-            vertices = self.targets
-        return float(sum(self.vertex_weights[self.index[x]] for x in set(vertices)))
+    def set_weight(self) -> float:
+        """w_z, the vertex weights of the targets summed (math.fsum) at construction.
+
+        The sum is correctly rounded, so it does not depend on target order.
+        """
+        return self._set_weight
 
     def total_weight(self) -> float:
         """w_V = sum of all vertex weights."""
@@ -168,22 +172,12 @@ class WeightedGraph:
         out.sort()
         return out
 
-    def neighbors(self, x):
-        """Labels adjacent to x, in canonical order."""
-        return tuple(self.labels[j] for j in sorted(self.adjacency[self.index[x]]))
-
-    def distance(self, x, targets=None):
-        """BFS hop distance from x to a vertex set (default: the targets).
+    def distance(self, x):
+        """BFS hop distance from x to the target set.
 
         Returns math.inf when unreachable.  Self-loops do not shorten paths.
         """
-        if targets is None:
-            goal = self.target_indices
-        elif isinstance(targets, (int, str)):
-            goal = (self.index[targets],)
-        else:
-            goal = [self.index[t] for t in targets]
-        d = _hops(self.adjacency, goal)[self.index[x]]
+        d = _hops(self.adjacency, self.target_indices)[self.index[x]]
         return math.inf if d < 0 else d
 
     def component_of(self, x):

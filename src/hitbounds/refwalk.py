@@ -12,9 +12,7 @@ left with probability 1/(1+g) (odds 1:g).  Everything about it is explicit:
   * advance_time_pmf: exact law of the time to reach +n (dynamic program),
   * position_tail: exact P[X_t >= n] by binomial summation in log space.
 
-poly_tail_exponent gives the polynomial-family tail exponent
-(alpha (p+2) - 2)^2 / (8 alpha) for walks tuned to a weight growth of order
-n^p over distance n.
+BiasedWalk is the walk as an object the Monte Carlo driver can sample.
 """
 
 from __future__ import annotations
@@ -147,18 +145,6 @@ def position_tail(g: float, t: int, n: int) -> float:
     return float(math.exp(logsumexp(log_terms)))
 
 
-def poly_tail_exponent(alpha: float, p: float) -> float:
-    """(alpha (p+2) - 2)^2 / (8 alpha), the short-time tail exponent.
-
-    Valid for 0 < alpha <= 2/(p+2); zero exactly at the boundary.
-    """
-    if not (isinstance(p, (int, float)) and p >= 0):
-        raise ParameterError(f"p must be nonnegative, got {p!r}")
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 2.0 / (p + 2.0)):
-        raise ParameterError(f"alpha must lie in (0, {2.0 / (p + 2.0)}], got {alpha!r}")
-    return (alpha * (p + 2.0) - 2.0) ** 2 / (8.0 * alpha)
-
-
 @dataclass(frozen=True)
 class BiasedWalk:
     """Reference walk handle usable by the Monte Carlo driver."""
@@ -172,9 +158,3 @@ class BiasedWalk:
     def speed(self) -> float:
         """Almost-sure limit of X_k / k: (g-1)/(g+1)."""
         return (self.g - 1.0) / (self.g + 1.0)
-
-    def mean_advance_time(self) -> float:
-        return mean_advance_time(self.g)
-
-    def advance_pgf(self, beta: float) -> float:
-        return advance_pgf(self.g, beta)

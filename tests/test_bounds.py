@@ -38,6 +38,12 @@ def test_solve_drift_tiny_ratio_degenerates():
     assert 1.0 <= g <= 1.0 + 1e-10
 
 
+def test_solve_drift_huge_ratio():
+    # the bracket search reaches log g = 1024, where expm1 overflows
+    g = bounds.solve_drift(3, 1e300)
+    assert (g - 1.0) ** 2 * g == pytest.approx(2e300, rel=1e-9)
+
+
 @given(st.integers(3, 120), RATIOS)
 @settings(max_examples=150, deadline=None)
 def test_rough_estimate_dominates(n, ratio):
@@ -193,6 +199,23 @@ def test_check_fails_just_past_its_bound(kind, monkeypatch):
         assert seen.margin == pytest.approx(-step, rel=1e-3)
         assert report.min_margin() == seen.margin
         assert (seen in report.failures()) is not passes
+
+
+def test_transform_check_has_no_absolute_floor(monkeypatch):
+    """A bound of 1e-305 is live and fails against 2e-305; a bound of 0.0 is vacuous."""
+    graph = unit_path(6)
+    for bound, observed, live in ((1e-305, 2e-305, True), (0.0, 1e-310, False)):
+        monkeypatch.setattr(bounds, "transform_upper_bound", lambda *args: bound)
+        monkeypatch.setattr(engine, "survival_transform", lambda *args: observed)
+        report = bounds.check_theorem1(graph, a_grid=(), beta_grid=(0.5,))
+        checks = [c for c in report.checks if c.kind == "transform"]
+        assert [c.source for c in checks] == ["weight_ratio", "resistance"]
+        for c in checks:
+            assert c.vacuous is not live
+            assert c.passed is not live
+            note = f"{c.source}: transform bound at beta=0.5 is 0, below"
+            assert any(n.startswith(note) for n in report.notes) is not live
+        assert report.all_pass is not live
 
 
 def test_mean_bound_below_exact_on_sample(corpus_sample):

@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hitbounds import cli, engine
-from hitbounds.graph import parse, read_graph_file, serialize, write_graph_file
+from hitbounds import bounds, cli, engine
+from hitbounds.graph import (
+    WeightedGraph, parse, read_graph_file, serialize, write_graph_file)
 from hitbounds.generators import biased_line, fast_path, unit_path
 
 
@@ -72,6 +76,44 @@ def test_analyze_solves_each_system_once(tmp_path, count_calls):
     solves = count_calls(engine, "_solve")
     assert run(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
     assert len(solves) == 21
+
+
+def test_analyze_huge_weight_ratio(tmp_path):
+    p = tmp_path / "g.json"
+    write_graph_file(WeightedGraph(
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e300)],
+        origin=0, targets=[4]), p)
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(p), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["bounds"]["drift"]["weight_ratio"] == bounds.solve_drift(3, 1e300)
+
+
+# gamma and the analyze JSON of a graph with eight string-labelled targets
+_HASH_SEED_SCRIPT = """
+import sys
+import numpy as np
+from hitbounds import cli, engine
+from hitbounds.graph import WeightedGraph, write_graph_file
+weights = np.random.default_rng(1).uniform(0.1, 10.0, 8)
+edges = [("o", "a", 1.0)] + [("a", f"t{i}", float(w)) for i, w in enumerate(weights)]
+g = WeightedGraph(edges, origin="o", targets=[f"t{i}" for i in range(8)])
+print(engine.gamma(g, 0.5).hex())
+write_graph_file(g, sys.argv[1])
+cli.main(["analyze", sys.argv[1]])
+"""
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, str(tmp_path / "g.json")],
+            env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -291,6 +333,12 @@ def test_sweep_skips_exact_beyond_cap(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert rows[0][4] != ""
     assert rows[1][4] == ""  # beyond the exact-solve cap
+
+
+def test_sweep_weight_overflow_exits_one(capsys):
+    assert run(["sweep", "--family", "fast_path", "--g", "2",
+                "--n-list", "2000"]) == 1
+    assert "weights overflow float range" in capsys.readouterr().err
 
 
 def test_sweep_requires_n_list(capsys):

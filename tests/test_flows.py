@@ -188,7 +188,6 @@ def test_decompose_dead_end_mass():
     fl = build_flow(g, 0.8)
     dec = decompose(fl)
     assert dec.dead_alpha > 0.01
-    assert dec.dead_flow() is not None
     assert dec.reconstruction_error() < 1e-14
     # the pendant pair holds exactly the beta-damped round trip
     i, j = fl.index[1], fl.index[9]

@@ -99,6 +99,9 @@ def test_fast_path_validation():
         fast_path_expected(3, 2.0)
     with pytest.raises(ParameterError):
         fast_path_resistance(5, 0.5)
+    for closed_form in (fast_path_expected, fast_path_resistance):
+        with pytest.raises(ParameterError):  # finite g > 1, as fast_path
+            closed_form(10, math.inf)
 
 
 def test_poly_growth_drift_exceeds_one():
@@ -207,10 +210,8 @@ def test_random_graph_constraints():
 def test_random_graph_options():
     g = random_graph(seed=11, self_loop_prob=1.0)
     assert any(u == v for u, v, _ in g.edge_list())
-    wide = random_graph(seed=3, max_vertices=30, min_distance=5)
-    assert wide.distance(wide.origin) >= 5
-    with pytest.raises(ParameterError):
-        random_graph(seed=0, weight_range=(0.0, 1.0))
+    wide = random_graph(seed=3, max_vertices=30)
+    assert wide.distance(wide.origin) >= 3
     with pytest.raises(ParameterError):
         random_graph(seed=0, max_vertices=1)
 

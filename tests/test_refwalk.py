@@ -14,7 +14,6 @@ from hitbounds.refwalk import (
     advance_pgf,
     advance_time_pmf,
     mean_advance_time,
-    poly_tail_exponent,
     position_tail,
     rate_function,
 )
@@ -162,21 +161,9 @@ def test_position_tail_monotone_in_n(g, t):
     assert all(x >= y - 1e-13 for x, y in zip(vals, vals[1:]))
 
 
-def test_poly_tail_exponent():
-    assert poly_tail_exponent(0.5, 0.0) == pytest.approx(0.25, abs=1e-15)
-    assert poly_tail_exponent(1.0, 0.0) == 0.0  # boundary alpha = 2/(p+2)
-    assert poly_tail_exponent(0.5, 2.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ParameterError):
-        poly_tail_exponent(0.0, 0.0)
-    with pytest.raises(ParameterError):
-        poly_tail_exponent(1.5, 0.0)
-
-
 def test_biased_walk_object():
     w = BiasedWalk(2.0)
     assert w.speed == pytest.approx(1 / 3)
-    assert w.mean_advance_time() == 3.0
-    assert w.advance_pgf(0.5) == advance_pgf(2.0, 0.5)
     assert BiasedWalk(2.0) == w  # frozen dataclass equality
     with pytest.raises(ParameterError):
         BiasedWalk(0.0)

@@ -100,8 +100,9 @@ def drift_upper_estimate(n: int, ratio: float) -> float:
     """
     n = _as_int(n, "n", 3)
     ratio = _check_ratio(ratio)
-    alpha = max(n * n * ratio, math.e)
-    log_alpha = math.log(alpha)
+    alpha = n * n * ratio  # beyond the float range, sum the logs instead
+    log_alpha = max(math.log(alpha) if alpha < math.inf
+                    else 2.0 * math.log(n) + math.log(ratio), 1.0)
     return math.exp((math.log(5.0) + log_alpha - 2.0 * math.log(log_alpha)) / (n - 2))
 
 
@@ -119,7 +120,10 @@ def drift_from_resistance(graph: WeightedGraph) -> float:
     r = engine.effective_resistance(graph)
     if not math.isfinite(r):
         return math.inf
-    return (graph.set_weight() * r) ** (1.0 / (d - 1))
+    product = graph.set_weight() * r
+    if product < math.inf:
+        return product ** (1.0 / (d - 1))
+    return math.exp((math.log(graph.set_weight()) + math.log(r)) / (d - 1))
 
 
 def mean_lower_bound(n: int, g: float) -> float:

@@ -1,20 +1,19 @@
 """Monte Carlo verification: hitting-time samples and rate-of-escape ratios.
 
-Reproducibility contract: replication r draws from its own counter-based
-stream keyed (seed, r) and consumes exactly one uniform per step while its
-walk is alive.  Results are therefore byte-identical across runs, chunk
-sizes and platforms, and independent replications can be regenerated in
-isolation.
+Reproducibility contract: replication r consumes one uniform per step of
+the counter-based Philox stream keyed (seed, r) while its walk is alive.
+Its uniforms are reached by key and counter, with no generator object per
+replication, so results are byte-identical across runs, chunk sizes and
+platforms, and any replication can be regenerated in isolation.
 
-Every sampler steps its walkers through one loop, _walk, which keeps only
-the live walkers of a chunk.  simulate_hitting drops walkers as they land
-on the target set and reports hitting times with a censoring flag at
-max_steps.  escape_ratios runs the walk without absorption and records
-distances from the origin at chosen times, turning them into the speed
-ratio |X_k| / k and the single-log ratio |X_k| / sqrt(k log k).  On a
-weighted graph the distance is the hop distance; on the biased reference
-walk it is |position| on the integers.  Graphs whose metadata declares a
-truncation safe_horizon reject recording times beyond it.
+Every sampler steps the live walkers of a chunk through one loop, _walk.
+simulate_hitting drops walkers as they land on the target set and reports
+hitting times with a censoring flag at max_steps.  escape_ratios records
+distances from the origin at chosen times without absorption, as the speed
+ratio |X_k| / k and the single-log ratio |X_k| / sqrt(k log k): the hop
+distance on a weighted graph, |position| for the biased reference walk.
+Graphs whose metadata declares a truncation safe_horizon reject recording
+times beyond it.
 
 CSV output has columns replication, statistic, k, value, censored with
 full-precision (round-trip) floats.
@@ -33,8 +32,6 @@ from .refwalk import BiasedWalk, ParameterError, _as_int
 _BUFFER_COLS = 256
 _CHUNK_REPS = 25_000
 _PAD_CELL_CAP = 50_000_000
-
-
 ESTIMATORS = ("hitting", "speed", "single_log")
 
 
@@ -92,9 +89,8 @@ class HittingSample:
         return float((self.times[~self.censored] <= x).sum() / len(self.times))
 
     def to_rows(self):
-        for r in range(len(self.times)):
-            yield (r, "hitting_time", int(self.times[r]),
-                   float(self.times[r]), bool(self.censored[r]))
+        for r, (t, cens) in enumerate(zip(self.times.tolist(), self.censored.tolist())):
+            yield (r, "hitting_time", t, float(t), cens)
 
 
 @dataclass(eq=False)
@@ -136,13 +132,13 @@ class EscapeSample:
         return out
 
     def to_rows(self):
-        speed = self.speed_ratios()
-        single = self.single_log_ratios()
-        for r in range(self.distances.shape[0]):
-            for i, k in enumerate(self.config.record_steps):
-                yield (r, "distance", k, float(self.distances[r, i]), False)
-                yield (r, "speed_ratio", k, float(speed[r, i]), False)
-                yield (r, "single_log_ratio", k, float(single[r, i]), False)
+        rows = zip(self.distances.tolist(), self.speed_ratios().tolist(),
+                   self.single_log_ratios().tolist())
+        for r, columns in enumerate(rows):
+            for k, d, speed, single in zip(self.config.record_steps, *columns):
+                yield (r, "distance", k, float(d), False)
+                yield (r, "speed_ratio", k, speed, False)
+                yield (r, "single_log_ratio", k, single, False)
 
 
 def to_csv_text(sample) -> str:
@@ -169,56 +165,68 @@ class _GraphSampler:
                 if weights[i] == 0.0 and i not in graph.target_indices]
         if dead:
             raise GraphError(f"zero vertex weight at {dead}; walk undefined")
-        degrees = [len(a) for a in graph.adjacency]
-        max_deg = max(degrees) if degrees else 0
-        if graph.n * max(max_deg, 1) > _PAD_CELL_CAP:
+        width = max(map(len, graph.adjacency), default=0) or 1
+        if graph.n * width > _PAD_CELL_CAP:
             raise GraphError("graph too dense for the padded sampler")
-        self.nbr_pad = np.zeros((graph.n, max(max_deg, 1)), dtype=np.int64)
-        self.cum_pad = np.full((graph.n, max(max_deg, 1)), 2.0)
+        self.nbr_pad = np.zeros((graph.n, width), dtype=np.int64)
+        self.cum_pad = np.full((graph.n, width), 2.0)
         for i, nbrs in enumerate(graph.adjacency):
             if weights[i] == 0.0:
                 self.nbr_pad[i, :] = i
                 continue
             cols = sorted(nbrs)
             probs = np.array([nbrs[j] for j in cols]) / weights[i]
+            self.nbr_pad[i] = cols[-1]
             self.nbr_pad[i, : len(cols)] = cols
             self.cum_pad[i, : len(cols)] = np.cumsum(probs)
             self.cum_pad[i, len(cols) - 1] = 1.0  # exact top despite roundoff
-            if len(cols) < self.nbr_pad.shape[1]:
-                self.nbr_pad[i, len(cols):] = cols[-1]
+        self.nbr_flat = self.nbr_pad.ravel()
 
     def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cum = self.cum_pad[pos]
+        cum = self.cum_pad.take(pos, axis=0)
         choice = (u[:, None] >= cum).sum(axis=1)
-        return self.nbr_pad[pos, choice]
+        return self.nbr_flat.take(pos * self.cum_pad.shape[1] + choice)
 
 
-def _stream(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed, rep)))
-
-
-def _walk(config: SimConfig, start: int, step, last: int, stop=None):
-    """Step every replication from start, yielding (k, reps, pos) after step k.
+def _walk(config: SimConfig, start: int, step, steps, stop=None):
+    """Step every replication from start, yielding (k, reps, pos) for k in steps.
 
     reps are the replication ids still walking and pos their positions;
-    step(pos, u) maps positions and one uniform each to new positions.
-    Replication r's step k uses uniform k - 1 of its stream, drawn
-    _BUFFER_COLS at a time.  Walkers that land on the boolean mask stop are
-    yielded at that step and then dropped, so each step costs O(live).
+    step(pos, u) maps positions and one uniform each to new positions, and
+    the +-1 walk on Z passes its right-step probability instead, turning
+    each refilled block into positions by one cumsum.  Replication r's step
+    k uses uniform k - 1 of its stream: refill j sets the one generator's
+    key to (seed, r) and counter to 64j, then draws uniforms 256j..256j+255.
+    Walkers landing on the boolean mask stop are yielded, then dropped.
     """
+    bits = np.random.Philox(key=(config.seed, 0))
+    draw = np.random.Generator(bits).random
+    state = bits.state  # buffer_pos 4: each draw starts at the counter set
+    key, counter = state["state"]["key"], state["state"]["counter"]
     for first in range(0, config.replications, _CHUNK_REPS):
         reps = np.arange(first, min(first + _CHUNK_REPS, config.replications))
-        gens = [_stream(config.seed, r) for r in reps]
         pos = np.full(reps.size, start, dtype=np.int64)
         buf = np.empty((reps.size, _BUFFER_COLS))
-        for k in range(1, last + 1):
-            rows = reps - first
+        for k in range(1, steps[-1] + 1):
             col = (k - 1) % _BUFFER_COLS
             if col == 0:
-                for r in rows:
-                    gens[r].random(out=buf[r])
-            pos = step(pos, buf[:, col][rows])
-            yield k, reps, pos
+                counter[0] = 64 * ((k - 1) // _BUFFER_COLS)  # 64 blocks of 4 words
+                for r in reps.tolist():
+                    key[1] = r
+                    bits.state = state
+                    draw(out=buf[r - first])
+                if not callable(step):  # buf becomes the positions
+                    np.less(buf, step, out=buf)
+                    buf *= 2.0
+                    buf -= 1.0
+                    buf[:, 0] += pos
+                    np.cumsum(buf, axis=1, out=buf)
+            if callable(step):
+                pos = step(pos, buf[:, col][reps - first])
+            elif k in steps or col == _BUFFER_COLS - 1:
+                pos = buf[:, col].astype(np.int64)
+            if k in steps:
+                yield k, reps, pos
             if stop is not None:
                 keep = ~stop[pos]
                 reps, pos = reps[keep], pos[keep]
@@ -234,19 +242,11 @@ def simulate_hitting(graph: WeightedGraph, config: SimConfig) -> HittingSample:
     times = np.full(config.replications, config.max_steps, dtype=np.int64)
     censored = np.ones(config.replications, dtype=bool)
     for k, reps, pos in _walk(config, graph.origin_index, sampler.step,
-                              config.max_steps, stop=target_mask):
+                              range(1, config.max_steps + 1), stop=target_mask):
         arrived = reps[target_mask[pos]]
         times[arrived] = k
         censored[arrived] = False
     return HittingSample(config=config, times=times, censored=censored)
-
-
-def _check_safe_horizon(graph: WeightedGraph, config: SimConfig):
-    horizon = graph.metadata.get("safe_horizon")
-    if horizon is not None and config.record_steps[-1] > horizon:
-        raise ParameterError(
-            f"record step {config.record_steps[-1]} beyond the truncation "
-            f"safety horizon {horizon}")
 
 
 def escape_ratios(target, config: SimConfig) -> EscapeSample:
@@ -258,22 +258,19 @@ def escape_ratios(target, config: SimConfig) -> EscapeSample:
     if not config.record_steps:
         raise ParameterError("escape_ratios needs record_steps")
     if isinstance(target, BiasedWalk):
-        p_right = target.g / (1.0 + target.g)
-        start, distance = 0, np.abs
-
-        def step(pos, u):
-            return pos + 2 * (u < p_right) - 1
+        start, step, distance = 0, target.g / (1.0 + target.g), np.abs
     elif isinstance(target, WeightedGraph):
-        _check_safe_horizon(target, config)
+        horizon = target.metadata.get("safe_horizon")
+        if horizon is not None and config.record_steps[-1] > horizon:
+            raise ParameterError(f"record step {config.record_steps[-1]} beyond "
+                                 f"the truncation safety horizon {horizon}")
         start, step = target.origin_index, _GraphSampler(target).step
         distance = _hop_distances(target).take
     else:
         raise ParameterError(f"unsupported walk object {target!r}")
-    record = {k: i for i, k in enumerate(config.record_steps)}
-    out = np.zeros((config.replications, len(record)), dtype=np.int64)
-    for k, reps, pos in _walk(config, start, step, config.record_steps[-1]):
-        if k in record:
-            out[reps, record[k]] = distance(pos)
+    out = np.zeros((config.replications, len(config.record_steps)), dtype=np.int64)
+    for k, reps, pos in _walk(config, start, step, config.record_steps):
+        out[reps, config.record_steps.index(k)] = distance(pos)
     return EscapeSample(config=config, distances=out)
 
 
@@ -315,7 +312,6 @@ def estimate_tail(graph: WeightedGraph, a: float, n: int, config: SimConfig,
     hits = int(((sample.times <= threshold) & ~sample.censored).sum())
     n = config.replications
     from scipy.stats import beta as beta_dist
-
     alpha = 1.0 - level
     lower = 0.0 if hits == 0 else float(beta_dist.ppf(alpha / 2, hits, n - hits + 1))
     upper = 1.0 if hits == n else float(beta_dist.ppf(1 - alpha / 2, hits + 1, n - hits))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,18 @@ def test_solve_drift_huge_ratio():
     # the bracket search reaches log g = 1024, where expm1 overflows
     g = bounds.solve_drift(3, 1e300)
     assert (g - 1.0) ** 2 * g == pytest.approx(2e300, rel=1e-9)
+
+
+def test_drifts_finite_where_products_overflow():
+    # n^2 ratio = 9e308 and w_z r(o, z) = 3e308 overflow; their logs do not
+    alpha = 9 * mpmath.mpf(1e308)
+    g = bounds.drift_upper_estimate(3, 1e308)
+    assert g == pytest.approx(float(5 * alpha / mpmath.log(alpha) ** 2), rel=1e-12)
+    assert g >= bounds.solve_drift(3, 1e308)
+    path = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e308)],
+                         origin=0, targets=[4])
+    exact = mpmath.cbrt(mpmath.mpf(1e308) * (3 + mpmath.mpf(1e-308)))
+    assert bounds.drift_from_resistance(path) == pytest.approx(float(exact), rel=1e-12)
 
 
 @given(st.integers(3, 120), RATIOS)

@@ -89,6 +89,20 @@ def test_analyze_huge_weight_ratio(tmp_path):
     assert doc["bounds"]["drift"]["weight_ratio"] == bounds.solve_drift(3, 1e300)
 
 
+def test_analyze_weight_near_float_max(tmp_path):
+    # w_z r(o, z) = 3e308 overflows; the resistance drift must stay finite
+    p = tmp_path / "g.json"
+    write_graph_file(WeightedGraph(
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e308)],
+        origin=0, targets=[4]), p)
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(p), "--out", str(out)]) == 0
+    drift = json.loads(out.read_text())["bounds"]["drift"]
+    assert drift["resistance"] == pytest.approx(1e308 ** (1 / 3) * 3 ** (1 / 3),
+                                                rel=1e-12)
+    assert drift["rough"] >= drift["weight_ratio"] == bounds.solve_drift(3, 1e308)
+
+
 # gamma and the analyze JSON of a graph with eight string-labelled targets
 _HASH_SEED_SCRIPT = """
 import sys

@@ -169,6 +169,26 @@ def test_escape_matches_scalar_reference_walker():
         assert (escape_ratios(target, cfg).distances == ref).all()
 
 
+def test_stream_edges_match_scalar_reference(monkeypatch):
+    # the largest seed, replication ids crossing chunk starts, and walkers
+    # that stop mid-block while others draw two more refills
+    monkeypatch.setattr(montecarlo, "_CHUNK_REPS", 3)
+    seed = 2**63 - 1
+    cfg = SimConfig(seed=seed, replications=8, max_steps=600)
+    times = simulate_hitting(unit_path(16), cfg).times
+    assert times.min() < 256 and 512 < times[times < 600].max()
+    assert (times == _reference_times(unit_path(16), seed, 8, 600)).all()
+    cfg = SimConfig(seed=seed, replications=7, max_steps=600)
+    assert (simulate_hitting(corpus_graph(2), cfg).times
+            == _reference_times(corpus_graph(2), seed, 7, 600)).all()
+    for steps in ((2, 255, 256, 257, 512, 513), (3, 513)):
+        for target in (corpus_graph(2), BiasedWalk(1.5)):
+            cfg = SimConfig(seed=seed, replications=7, max_steps=513,
+                            record_steps=steps)
+            ref = _reference_distances(target, seed, 7, steps)
+            assert (escape_ratios(target, cfg).distances == ref).all()
+
+
 def test_output_independent_of_chunk_size(monkeypatch):
     # 10 replications in chunks of 3 leave a final chunk of one
     cases = [

@@ -44,6 +44,7 @@ from .engine import (
     gamma,
     green_kernel,
     green_row,
+    green_rows,
     hitting_time_pmf,
     origin_visits,
     survival_transform,

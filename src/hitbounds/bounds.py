@@ -276,6 +276,9 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
     if not math.isfinite(d) or not math.isfinite(expected):
         return _trivial_report(0, math.nan, math.inf, math.inf,
                                "target unreachable: every bound holds vacuously")
+    betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
+    if d >= 2:  # every Green row the checks read, resistance's too, in one solve
+        engine.green_rows(work, (1.0, *betas))
     ratio = work.set_weight() / work.vertex_weight(work.origin)
     resistance = engine.effective_resistance(work)
     if d < 2:
@@ -347,7 +350,6 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
             _upper_check(report, "tail", source, g, float(a), bound, observed,
                          underflow)
 
-    betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
     for beta in betas:
         observed = engine.survival_transform(work, beta)
         underflow = observed == 0.0  # the target is reachable, so S_beta > 0

@@ -97,7 +97,10 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
     def fail(i, beta, kind, value):
         failures.append({"graph": i, "beta": beta, "kind": kind, "value": value})
 
+    for beta in betas:
+        flows._check_beta(beta)
     for i, graph in enumerate(graphs):
+        engine.green_rows(graph.normalized(), betas)
         for beta in betas:
             count += 1
             flow = flows.build_flow(graph, beta)

@@ -22,7 +22,9 @@ and the Green row per beta, each solved once, on first use.  The pmf is not
 kept: through the block sizes its last bits depend on the horizon.
 Every system is solved directly: by dense LU (LAPACK) up to _DENSE_MAX
 unknowns, by sparse LU (SuperLU) above, where the per-call set-up of the
-sparse solver no longer dominates.
+sparse solver no longer dominates.  green_rows takes every beta a caller
+needs at once: the dense systems of one graph go to LAPACK as one stack,
+each solved exactly as it would be alone.
 
 hitting_time_pmf either advances a dense K_z up to 64 steps per NumPy call,
 from powers built by repeated squaring (nonnegative arithmetic, so nothing
@@ -57,14 +59,16 @@ class _Kernel:
     """The walk record of one graph: K_z and every solution found on it.
 
     K_z(row[k], col[k]) = p[k]; target rows hold none.  comp is the origin's
-    component (sorted canonical indices), at_target marks its targets,
-    expected is E[T] and rows[beta] the read-only Green row G_beta(o, comp).
+    component (sorted canonical indices), origin the origin's position in it,
+    at_target marks its targets, expected is E[T] and rows[beta] the
+    read-only Green row G_beta(o, comp).
     """
 
     row: np.ndarray
     col: np.ndarray
     p: np.ndarray
     comp: np.ndarray
+    origin: int
     at_target: np.ndarray
     expected: float | None = None
     rows: dict = field(default_factory=dict)
@@ -83,8 +87,9 @@ def _kernel(graph: WeightedGraph) -> _Kernel:
         is_target[list(graph.target_indices)] = True
         live = ~is_target[row]
         row, col, w = row[live], col[live], w[live]
-        comp = np.array(graph.component_of(graph.origin))
-        kz = _Kernel(row, col, w / graph.vertex_weights[row], comp, is_target[comp])
+        comp = graph.component_of(graph.origin)
+        kz = _Kernel(row, col, w / graph.vertex_weights[row], np.array(comp),
+                     comp.index(graph.origin_index), is_target[comp])
         graph._kz = kz
     return kz
 
@@ -99,44 +104,70 @@ def _restrict(graph: WeightedGraph, idx):
     return r[rows], loc[kz.col[rows]], kz.p[rows]
 
 
-def _solve(graph: WeightedGraph, beta, idx, rhs, transpose=False):
-    """Solve (I - beta K_z)|idx x = rhs (or the transposed system).
+def _solve(graph: WeightedGraph, betas, idx, rhs, transpose=False):
+    """Solve (I - beta K_z)|idx x = rhs (or the transposed system) for each beta.
 
-    rhs holds one or more columns indexed by position in idx; the solution
-    is returned the same way.
+    rhs holds one or more columns indexed by position in idx; the solutions
+    come back the same way, stacked along a first axis with one per beta.
+    Up to _DENSE_MAX unknowns the systems go to LAPACK as (k, m, m) stacks
+    of at most (_DENSE_MAX // m)^2 systems, no more entries than one
+    _DENSE_MAX-sized solve; above it SuperLU factors one beta at a time.
     """
     r, c, p = _restrict(graph, idx)
     inner = c >= 0  # absorbed columns outside idx drop out of the system
-    r, c, v = r[inner], c[inner], beta * p[inner]
+    r, c, p = r[inner], c[inner], p[inner]
     m = len(idx)
     if m <= _DENSE_MAX:
-        a = np.eye(m)
-        a[r, c] -= v
-        return np.linalg.solve(a.T if transpose else a, rhs)
+        step = max(1, (_DENSE_MAX // m) ** 2)
+        b = rhs.reshape(m, -1)
+        out = []
+        for start in range(0, len(betas), step):
+            chunk = np.asarray(betas[start:start + step], dtype=float)
+            a = np.repeat(np.eye(m)[None], len(chunk), axis=0)
+            a[:, r, c] -= chunk[:, None] * p
+            x = np.linalg.solve(a.transpose(0, 2, 1) if transpose else a,
+                                np.broadcast_to(b, (len(chunk), *b.shape)))
+            out.append(x.reshape(len(chunk), *rhs.shape))
+        return np.concatenate(out)
     from scipy.sparse import csc_matrix, identity
     from scipy.sparse.linalg import splu
 
-    a = identity(m, format="csc") - csc_matrix((v, (r, c)), shape=(m, m))
-    return splu(a).solve(rhs, trans="T" if transpose else "N")
+    eye = identity(m, format="csc")
+    return np.stack([
+        splu(eye - csc_matrix((beta * p, (r, c)), shape=(m, m)))
+        .solve(rhs, trans="T" if transpose else "N") for beta in betas])
+
+
+def green_rows(graph: WeightedGraph, betas) -> list:
+    """Read-only rows G_beta(origin, comp), one per beta in betas.
+
+    comp is the origin's component in canonical order (green_row returns
+    it).  Betas the walk record lacks are solved together in one _solve
+    and kept.  Requires each beta in (0, 1]; at beta = 1 the component must
+    contain a target (otherwise every entry would be infinite).
+    """
+    for beta in betas:
+        _check_beta(beta, allow_one=True)
+    kz = _kernel(graph)
+    todo = [beta for beta in dict.fromkeys(betas) if beta not in kz.rows]
+    if todo:
+        if 1.0 in todo and not kz.at_target.any():
+            raise GraphError("targets unreachable from origin: visit counts infinite")
+        rhs = np.zeros(len(kz.comp))
+        rhs[kz.origin] = 1.0
+        vals = _solve(graph, todo, kz.comp, rhs, transpose=True)
+        vals.flags.writeable = False
+        kz.rows.update(zip(todo, vals))
+    return [kz.rows[beta] for beta in betas]
 
 
 def green_row(graph: WeightedGraph, beta: float):
     """G_beta(origin, x) for x in the origin's component.
 
-    Returns (component canonical indices, read-only values).  Requires beta
-    in (0, 1]; at beta = 1 the component must contain a target (otherwise
-    every entry would be infinite).
+    Returns (component canonical indices, read-only values):
+    green_rows(graph, (beta,))[0] beside the component as a list.
     """
-    _check_beta(beta, allow_one=True)
-    kz = _kernel(graph)
-    vals = kz.rows.get(beta)
-    if vals is None:
-        if beta == 1.0 and not kz.at_target.any():
-            raise GraphError("targets unreachable from origin: visit counts infinite")
-        rhs = (kz.comp == graph.origin_index).astype(float)
-        kz.rows[beta] = vals = _solve(graph, beta, kz.comp, rhs, transpose=True)
-        vals.flags.writeable = False
-    return kz.comp.tolist(), vals
+    return _kernel(graph).comp.tolist(), green_rows(graph, (beta,))[0]
 
 
 def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
@@ -160,7 +191,7 @@ def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
         if beta == 1.0 and not has_target:
             out[np.ix_(comp, comp)] = math.inf
             continue
-        out[np.ix_(comp, comp)] = _solve(graph, beta, comp, np.eye(len(comp)))
+        out[np.ix_(comp, comp)] = _solve(graph, (beta,), comp, np.eye(len(comp)))[0]
     return out
 
 
@@ -185,7 +216,7 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
         kz.expected = math.inf
         if kz.at_target.any():
             alive = kz.comp[~kz.at_target]
-            h = _solve(graph, 1.0, alive, np.ones(len(alive)))
+            h = _solve(graph, (1.0,), alive, np.ones(len(alive)))[0]
             kz.expected = float(h[np.searchsorted(alive, graph.origin_index)])
     return kz.expected
 
@@ -340,9 +371,9 @@ class WalkParameters:
         kz = _kernel(graph)
         s, r = 0.0, math.inf  # at beta = 1 with the targets unreachable
         if beta != 1.0 or kz.at_target.any():
-            comp, vals = green_row(graph, beta)
+            vals = green_rows(graph, (beta,))[0]
             s = float(sum(vals[kz.at_target]))
-            r = float(vals[comp.index(graph.origin_index)])
+            r = float(vals[kz.origin])
         p = cls(beta=float(beta), survival=s, visits=r,
                 gamma=_gamma(graph, r), graph=graph)
         p.validate()

@@ -75,7 +75,9 @@ def test_analyze_solves_each_system_once(tmp_path, count_calls):
     write_graph_file(unit_path(60), path)
     solves = count_calls(engine, "_solve")
     assert run(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    assert len(solves) == 21
+    # 21 systems: E[T], then the resistance row with the 19 transform betas
+    assert sum(len(betas) for _, betas, *_ in solves) == 21
+    assert len(solves) == 2
 
 
 def test_analyze_huge_weight_ratio(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hitbounds
-from hitbounds import corpus, engine
+from hitbounds import bounds, corpus, engine
 from hitbounds.generators import (
     fast_path, poly_growth_drift, random_graph, tree_line, unit_path)
 from hitbounds.graph import GraphError, WeightedGraph
@@ -313,11 +313,101 @@ def test_walk_record_solves_each_system_once(count_calls):
     assert len(solves) == 3
 
 
+def one_beta_row(graph, beta):
+    """Reference Green row: one system per call, as solved before stacking."""
+    kz = engine._kernel(graph)
+    r, c, p = engine._restrict(graph, kz.comp)
+    inner = c >= 0
+    r, c, v = r[inner], c[inner], beta * p[inner]
+    m = len(kz.comp)
+    rhs = (kz.comp == graph.origin_index).astype(float)
+    if m <= engine._DENSE_MAX:
+        a = np.eye(m)
+        a[r, c] -= v
+        return np.linalg.solve(a.T, rhs)
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
+
+    a = identity(m, format="csc") - csc_matrix((v, (r, c)), shape=(m, m))
+    return splu(a).solve(rhs, trans="T")
+
+
+def chunk(graph):
+    """Systems per stacked LAPACK call on graph's Green rows."""
+    return max(1, (engine._DENSE_MAX // len(engine._kernel(graph).comp)) ** 2)
+
+
+def assert_rows_identical(graph, betas):
+    rows = engine.green_rows(graph, betas)
+    assert len(rows) == len(betas)
+    for beta, row in zip(betas, rows):
+        assert not row.flags.writeable
+        assert np.array_equal(row, one_beta_row(graph, beta))
+
+
+def test_green_rows_bit_identical_on_corpus(corpus_sample):
+    betas = (1.0, *bounds.default_beta_grid())
+    for g in corpus_sample[:30]:
+        assert_rows_identical(g.normalized(), betas)
+
+
+def test_green_rows_bit_identical_across_chunks():
+    betas = bounds.default_beta_grid()
+    one, many = unit_path(150), unit_path(50)
+    assert chunk(one) == 1 and 1 < chunk(many) < len(betas)
+    for g in (one, many):
+        assert_rows_identical(g, betas)
+
+
+def test_green_rows_sparse_branch():
+    g = unit_path(260)
+    assert len(engine._kernel(g).comp) > engine._DENSE_MAX
+    assert_rows_identical(g, (1.0, 0.3, 0.999))
+
+
+def test_green_rows_repeated_beta(count_calls):
+    solves = count_calls(engine, "_solve")
+    g = random_graph(seed=3)
+    rows = engine.green_rows(g, (0.5, 0.3, 0.5, 0.3))
+    assert rows[0] is rows[2] and rows[1] is rows[3]
+    assert [list(betas) for _, betas, *_ in solves] == [[0.5, 0.3]]
+    assert_rows_identical(g, (0.5, 0.3, 0.5))
+    assert engine.green_row(g, 0.3)[1] is rows[1]
+    assert len(solves) == 1
+
+
+def test_green_rows_without_target_at_one():
+    g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)], origin=0, targets=[3])
+    with pytest.raises(GraphError, match="unreachable"):
+        engine.green_rows(g, (0.5, 1.0))
+    assert engine.origin_visits(g, 1.0) == math.inf
+    assert engine.survival_transform(g, 1.0) == 0.0
+    assert_rows_identical(g, (0.5,))
+
+
+def test_stacked_solves_stay_within_one_dense_system(monkeypatch):
+    # a stack never holds more entries than one _DENSE_MAX-sized solve
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        sizes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    for g in (unit_path(50), fast_path(120, poly_growth_drift(120, 1.0))):
+        bounds.check_theorem1(g)
+    assert max(math.prod(shape) for shape in sizes) <= engine._DENSE_MAX ** 2
+    assert max(shape[0] for shape in sizes) > 1  # some calls did stack
+
+
 def test_corpus_check_solve_count(count_calls):
-    # 2282 distinct (graph, system) pairs; every one is solved once
+    # 2282 distinct (graph, system) pairs; every one is solved once, and a
+    # graph's beta grid goes to _solve in one call
     solves = count_calls(engine, "_solve")
     corpus.run_all(count=100, seed=11, flow_count=20)
-    assert len(solves) == 2282
+    assert sum(len(betas) for _, betas, *_ in solves) == 2282
+    assert len(solves) == 382
 
 
 def test_zero_weight_origin_gamma_is_infinite():

@@ -118,17 +118,17 @@ def _solve(graph: WeightedGraph, betas, idx, rhs, transpose=False):
     r, c, p = r[inner], c[inner], p[inner]
     m = len(idx)
     if m <= _DENSE_MAX:
+        flat = c * m + r if transpose else r * m + c  # in a raveled m x m system
+        b = rhs.reshape(1, m, -1)  # one right-hand side, broadcast over a stack
         step = max(1, (_DENSE_MAX // m) ** 2)
-        b = rhs.reshape(m, -1)
-        out = []
-        for start in range(0, len(betas), step):
-            chunk = np.asarray(betas[start:start + step], dtype=float)
-            a = np.repeat(np.eye(m)[None], len(chunk), axis=0)
-            a[:, r, c] -= chunk[:, None] * p
-            x = np.linalg.solve(a.transpose(0, 2, 1) if transpose else a,
-                                np.broadcast_to(b, (len(chunk), *b.shape)))
-            out.append(x.reshape(len(chunk), *rhs.shape))
-        return np.concatenate(out)
+        x = []
+        for i in range(0, len(betas), step):
+            chunk = np.asarray(betas[i:i + step], dtype=float)[:, None]
+            a = np.zeros((len(chunk), m * m))
+            a[:, ::m + 1] = 1.0
+            a[:, flat] -= chunk * p
+            x.append(np.linalg.solve(a.reshape(-1, m, m), b))
+        return np.concatenate(x).reshape(len(betas), *rhs.shape)
     from scipy.sparse import csc_matrix, identity
     from scipy.sparse.linalg import splu
 
@@ -153,8 +153,7 @@ def green_rows(graph: WeightedGraph, betas) -> list:
     if todo:
         if 1.0 in todo and not kz.at_target.any():
             raise GraphError("targets unreachable from origin: visit counts infinite")
-        rhs = np.zeros(len(kz.comp))
-        rhs[kz.origin] = 1.0
+        rhs = (kz.comp == graph.origin_index).astype(float)
         vals = _solve(graph, todo, kz.comp, rhs, transpose=True)
         vals.flags.writeable = False
         kz.rows.update(zip(todo, vals))

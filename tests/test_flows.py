@@ -350,6 +350,13 @@ def test_flow_report_assembles_one_kernel(count_calls):
     assert len(built) == 1
 
 
+def test_flow_report_rejects_beta_outside_open_interval():
+    # the flow betas are checked before the report solves its stacked grid
+    for beta in (1.0, 1.5):
+        with pytest.raises(FlowError, match=r"\(0, 1\)"):
+            corpus.flow_report([corpus.corpus_graph(0)], betas=(0.5, beta))
+
+
 def test_flow_report_runs_one_potential_per_flow(count_calls, corpus_sample):
     built = count_calls(flows, "build_flow")
     searched = count_calls(flows, "_potential")

@@ -139,7 +139,7 @@ def _solve(graph: WeightedGraph, betas, idx, rhs, transpose=False):
 
 
 def green_rows(graph: WeightedGraph, betas) -> list:
-    """Read-only rows G_beta(origin, comp), one per beta in betas.
+    """Read-only rows G_beta(origin, comp), one per beta in the sequence betas.
 
     comp is the origin's component in canonical order (green_row returns
     it).  Betas the walk record lacks are solved together in one _solve

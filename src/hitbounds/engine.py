@@ -60,8 +60,9 @@ class _Kernel:
 
     K_z(row[k], col[k]) = p[k]; target rows hold none.  comp is the origin's
     component (sorted canonical indices), origin the origin's position in it,
-    at_target marks its targets, expected is E[T] and rows[beta] the
-    read-only Green row G_beta(o, comp).
+    at_target marks its targets and targets holds their positions, so that
+    a cached read touches no more of a row than it needs.  expected is E[T]
+    and rows[beta] the read-only Green row G_beta(o, comp).
     """
 
     row: np.ndarray
@@ -70,6 +71,7 @@ class _Kernel:
     comp: np.ndarray
     origin: int
     at_target: np.ndarray
+    targets: np.ndarray
     expected: float | None = None
     rows: dict = field(default_factory=dict)
 
@@ -88,8 +90,10 @@ def _kernel(graph: WeightedGraph) -> _Kernel:
         live = ~is_target[row]
         row, col, w = row[live], col[live], w[live]
         comp = graph.component_of(graph.origin)
+        at_target = is_target[comp]
         kz = _Kernel(row, col, w / graph.vertex_weights[row], np.array(comp),
-                     comp.index(graph.origin_index), is_target[comp])
+                     comp.index(graph.origin_index), at_target,
+                     np.flatnonzero(at_target))
         graph._kz = kz
     return kz
 
@@ -151,7 +155,7 @@ def green_rows(graph: WeightedGraph, betas) -> list:
     kz = _kernel(graph)
     todo = [beta for beta in dict.fromkeys(betas) if beta not in kz.rows]
     if todo:
-        if 1.0 in todo and not kz.at_target.any():
+        if 1.0 in todo and not len(kz.targets):
             raise GraphError("targets unreachable from origin: visit counts infinite")
         rhs = (kz.comp == graph.origin_index).astype(float)
         vals = _solve(graph, todo, kz.comp, rhs, transpose=True)
@@ -369,9 +373,18 @@ class WalkParameters:
     def from_graph(cls, graph: WeightedGraph, beta: float) -> "WalkParameters":
         kz = _kernel(graph)
         s, r = 0.0, math.inf  # at beta = 1 with the targets unreachable
-        if beta != 1.0 or kz.at_target.any():
-            vals = green_rows(graph, (beta,))[0]
-            s = float(sum(vals[kz.at_target]))
+        if beta != 1.0 or len(kz.targets):
+            # a kept row is read straight from the record: this runs per
+            # statistic, and green_rows' bookkeeping would cost more than it
+            _check_beta(beta, allow_one=True)
+            vals = kz.rows.get(beta)
+            if vals is None:
+                vals = green_rows(graph, (beta,))[0]
+            # the targets' entries added left to right in one NumPy call:
+            # the bits of sum() over them without a Python addition per
+            # target (0.0 + makes an all -0.0 total +0.0, as sum() from 0 does)
+            hit = vals[kz.targets]
+            s = 0.0 + float(np.add.accumulate(hit)[-1]) if len(hit) else 0.0
             r = float(vals[kz.origin])
         p = cls(beta=float(beta), survival=s, visits=r,
                 gamma=_gamma(graph, r), graph=graph)

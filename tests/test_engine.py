@@ -473,6 +473,17 @@ def test_large_tree_solve_independent_of_labels(deep_tree):
     assert got == pytest.approx(base, rel=1e-10)
 
 
+def test_survival_adds_targets_in_order(deep_tree):
+    """S_beta adds the row at the targets left to right, as sum() does,
+    on a graph with few targets and on deep_tree's 307."""
+    for graph in (random_graph(seed=3), deep_tree):
+        kz = engine._kernel(graph)
+        for beta in (0.5, 0.9, 0.99):
+            row = engine.green_rows(graph, (beta,))[0]
+            assert (engine.survival_transform(graph, beta)
+                    == float(sum(row[kz.at_target])))
+
+
 def direct_survival(graph, beta):
     """Independent oracle: dense solve of S = beta K_z S on alive vertices, S = 1 on z."""
     comp = graph.component_of(graph.origin)

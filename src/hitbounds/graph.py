@@ -261,12 +261,14 @@ class WeightedGraph:
 
         Neither step changes the hitting law from the origin.  A normal graph
         is its own normalization, so it also shares its cached killed kernel.
+        It records that as True, not as itself: a reference to itself would
+        be a cycle, which only the cyclic garbage collector frees.
         """
         work = self.__dict__.get("_normalized")
         if work is None:
             work = self.contract_targets().restrict_accessible()
-            self._normalized = work
-        return work
+            self._normalized = True if work is self else work
+        return self if work is True else work
 
 
 # -- file format ----------------------------------------------------------

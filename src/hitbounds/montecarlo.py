@@ -7,11 +7,14 @@ replication, so results are byte-identical across runs, chunk sizes and
 platforms, and any replication can be regenerated in isolation.
 
 Every sampler steps the live walkers of a chunk through one loop, _walk.
-simulate_hitting drops walkers as they land on the target set and reports
-hitting times with a censoring flag at max_steps.  escape_ratios records
-distances from the origin at chosen times without absorption, as the speed
-ratio |X_k| / k and the single-log ratio |X_k| / sqrt(k log k): the hop
-distance on a weighted graph, |position| for the biased reference walk.
+A graph step picks each neighbour by binary search over the cumulative
+probabilities; the biased reference walk counts its right steps instead.
+simulate_hitting drops walkers as they land on the target set, on the steps
+where some do, and reports hitting times with a censoring flag at
+max_steps.  escape_ratios records distances from the origin at chosen
+times without absorption, as the speed ratio |X_k| / k and the single-log
+ratio |X_k| / sqrt(k log k): the hop distance on a weighted graph,
+|position| for the biased reference walk.
 Graphs whose metadata declares a truncation safe_horizon reject recording
 times beyond it.
 
@@ -92,6 +95,11 @@ class HittingSample:
         for r, (t, cens) in enumerate(zip(self.times.tolist(), self.censored.tolist())):
             yield (r, "hitting_time", t, float(t), cens)
 
+    def _csv_lines(self) -> list:
+        return [f"{r},hitting_time,{t},{float(t)!r},{'true' if cens else 'false'}"
+                for r, (t, cens) in enumerate(zip(self.times.tolist(),
+                                                  self.censored.tolist()))]
+
 
 @dataclass(eq=False)
 class EscapeSample:
@@ -140,23 +148,33 @@ class EscapeSample:
                 yield (r, "speed_ratio", k, speed, False)
                 yield (r, "single_log_ratio", k, single, False)
 
+    def _csv_lines(self) -> list:
+        """The rows of to_rows, the three of each (r, k) in one string."""
+        rows = zip(self.distances.tolist(), self.speed_ratios().tolist(),
+                   self.single_log_ratios().tolist())
+        return [f"{r},distance,{k},{float(d)!r},false\n"
+                f"{r},speed_ratio,{k},{speed!r},false\n"
+                f"{r},single_log_ratio,{k},{single!r},false"
+                for r, columns in enumerate(rows)
+                for k, d, speed, single in zip(self.config.record_steps, *columns)]
+
 
 def to_csv_text(sample) -> str:
-    """Deterministic CSV (round-trip float formatting) of a sample."""
-    lines = ["replication,statistic,k,value,censored"]
-    for r, stat, k, value, censored in sample.to_rows():
-        lines.append(f"{r},{stat},{k},{value!r},{str(censored).lower()}")
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV (round-trip float formatting) of sample.to_rows()."""
+    return "\n".join(["replication,statistic,k,value,censored",
+                      *sample._csv_lines()]) + "\n"
 
 
 class _GraphSampler:
-    """Padded per-vertex alias of the transition kernel for vector stepping.
+    """Per-vertex search tables of the transition kernel for vector stepping.
 
-    nbr_pad[i, c] / cum_pad[i, c]: c-th neighbour of vertex i and the
-    cumulative probability of columns <= c; padding columns repeat the last
-    neighbour with cumulative 2.0 so they are never selected.  Targets may
-    have zero weight: their row is a self-loop that an absorbed walk never
-    steps.
+    Row i of the flat tables nbr and cum starts at i * size: the neighbours
+    of vertex i in canonical order, and the cumulative probabilities of all
+    but the last, which is exactly 1.0 and never counts against u < 1.  cum
+    is padded with 2.0 to size, the smallest power of two that leaves one
+    pad entry, so step counts the entries <= u (ties go right) by a
+    branchless binary search, which picks the neighbour.  Targets may have
+    zero weight: their row is a self-loop that an absorbed walk never steps.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -166,38 +184,46 @@ class _GraphSampler:
         if dead:
             raise GraphError(f"zero vertex weight at {dead}; walk undefined")
         width = max(map(len, graph.adjacency), default=0) or 1
-        if graph.n * width > _PAD_CELL_CAP:
+        self.size = 1 << (width - 1).bit_length()
+        if graph.n * self.size > _PAD_CELL_CAP:
             raise GraphError("graph too dense for the padded sampler")
-        self.nbr_pad = np.zeros((graph.n, width), dtype=np.int64)
-        self.cum_pad = np.full((graph.n, width), 2.0)
+        nbr = np.zeros((graph.n, self.size), dtype=np.int64)
+        cum = np.full((graph.n, self.size), 2.0)
         for i, nbrs in enumerate(graph.adjacency):
             if weights[i] == 0.0:
-                self.nbr_pad[i, :] = i
+                nbr[i, 0] = i
                 continue
             cols = sorted(nbrs)
-            probs = np.array([nbrs[j] for j in cols]) / weights[i]
-            self.nbr_pad[i] = cols[-1]
-            self.nbr_pad[i, : len(cols)] = cols
-            self.cum_pad[i, : len(cols)] = np.cumsum(probs)
-            self.cum_pad[i, len(cols) - 1] = 1.0  # exact top despite roundoff
-        self.nbr_flat = self.nbr_pad.ravel()
+            probs = np.array([nbrs[j] for j in cols[:-1]]) / weights[i]
+            nbr[i, : len(cols)] = cols
+            cum[i, : len(cols) - 1] = np.cumsum(probs)
+        self.nbr, self.cum = nbr.ravel(), cum.ravel()
+        # halving h compares u with cum[at + h - 1]: a view offset by h - 1
+        halves = [self.size >> s for s in range(1, self.size.bit_length())]
+        self.levels = [(h, self.cum[h - 1:]) for h in halves]
 
     def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cum = self.cum_pad.take(pos, axis=0)
-        choice = (u[:, None] >= cum).sum(axis=1)
-        return self.nbr_flat.take(pos * self.cum_pad.shape[1] + choice)
+        at = pos * self.size
+        for h, cum in self.levels:
+            at += h * (u >= cum.take(at))
+        return self.nbr.take(at)
 
 
 def _walk(config: SimConfig, start: int, step, steps, stop=None):
-    """Step every replication from start, yielding (k, reps, pos) for k in steps.
+    """Step every replication from start for steps[-1] steps.
 
-    reps are the replication ids still walking and pos their positions;
-    step(pos, u) maps positions and one uniform each to new positions, and
-    the +-1 walk on Z passes its right-step probability instead, turning
-    each refilled block into positions by one cumsum.  Replication r's step
-    k uses uniform k - 1 of its stream: refill j sets the one generator's
-    key to (seed, r) and counter to 64j, then draws uniforms 256j..256j+255.
-    Walkers landing on the boolean mask stop are yielded, then dropped.
+    step(pos, u) maps positions and one uniform each to new positions; the
+    +-1 walk on Z passes its right-step probability p instead, and its
+    position at column c of a block is the block's start plus
+    2 * #(u < p in columns 0..c) - (c + 1), counted only at record steps and
+    block ends.  Replication r's step k uses uniform k - 1 of its stream:
+    refill j sets the one generator's key to (seed, r) and counter to 64j,
+    then draws uniforms 256j..256j+255 into row i of the buffer, i the
+    walker's rank among those live, so a step gathers one column.
+    Without stop, yields (k, reps, pos) for each k in steps: the replication
+    ids and their positions.  With the boolean mask stop, yields (k, reps,
+    pos) of the walkers that land on it at step k, on the steps where some
+    do, and then drops them.
     """
     bits = np.random.Philox(key=(config.seed, 0))
     draw = np.random.Generator(bits).random
@@ -211,25 +237,25 @@ def _walk(config: SimConfig, start: int, step, steps, stop=None):
             col = (k - 1) % _BUFFER_COLS
             if col == 0:
                 counter[0] = 64 * ((k - 1) // _BUFFER_COLS)  # 64 blocks of 4 words
-                for r in reps.tolist():
+                for i, r in enumerate(reps.tolist()):
                     key[1] = r
                     bits.state = state
-                    draw(out=buf[r - first])
-                if not callable(step):  # buf becomes the positions
-                    np.less(buf, step, out=buf)
-                    buf *= 2.0
-                    buf -= 1.0
-                    buf[:, 0] += pos
-                    np.cumsum(buf, axis=1, out=buf)
+                    draw(out=buf[i])
+                rows, base = np.arange(reps.size), pos
             if callable(step):
-                pos = step(pos, buf[:, col][reps - first])
+                pos = step(pos, buf[:, col][rows])
             elif k in steps or col == _BUFFER_COLS - 1:
-                pos = buf[:, col].astype(np.int64)
-            if k in steps:
-                yield k, reps, pos
-            if stop is not None:
-                keep = ~stop[pos]
-                reps, pos = reps[keep], pos[keep]
+                right = np.count_nonzero(buf[:, : col + 1] < step, axis=1)
+                pos = base + 2 * right - (col + 1)
+            if stop is None:
+                if k in steps:
+                    yield k, reps, pos
+                continue
+            hit = stop[pos]
+            if np.count_nonzero(hit):
+                yield k, reps[hit], pos[hit]
+                keep = ~hit
+                reps, pos, rows = reps[keep], pos[keep], rows[keep]
                 if reps.size == 0:
                     break
 
@@ -241,9 +267,8 @@ def simulate_hitting(graph: WeightedGraph, config: SimConfig) -> HittingSample:
     target_mask[list(graph.target_indices)] = True
     times = np.full(config.replications, config.max_steps, dtype=np.int64)
     censored = np.ones(config.replications, dtype=bool)
-    for k, reps, pos in _walk(config, graph.origin_index, sampler.step,
-                              range(1, config.max_steps + 1), stop=target_mask):
-        arrived = reps[target_mask[pos]]
+    for k, arrived, _ in _walk(config, graph.origin_index, sampler.step,
+                               (config.max_steps,), stop=target_mask):
         times[arrived] = k
         censored[arrived] = False
     return HittingSample(config=config, times=times, censored=censored)

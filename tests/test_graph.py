@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -284,6 +286,20 @@ def test_normalized_is_cached_and_idempotent():
     assert w.contract_targets() is w and w.restrict_accessible() is w
     assert 4 not in w.labels and w.targets == (2,)
 
+
+
+def test_normal_graph_freed_without_cycle_collector():
+    # a normal graph is its own normalization; recording that must not make
+    # a reference cycle, or the graph and its walk record outlive every name
+    gc.disable()
+    try:
+        g = corpus_graph(0).normalized()
+        assert g.normalized() is g
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 def test_normalized_matches_contract_then_restrict():
     graphs = [corpus_graph(i) for i in range(200)]

@@ -189,6 +189,72 @@ def test_stream_edges_match_scalar_reference(monkeypatch):
             assert (escape_ratios(target, cfg).distances == ref).all()
 
 
+
+def _hub_graph():
+    """Origin 0 joined to 20 spokes, so its search row has 32 entries."""
+    edges = [(0, i, float(i)) for i in range(1, 21)]
+    edges += [(i, i + 1, 0.5) for i in range(1, 20)]
+    edges += [(i, 21, 0.25) for i in range(1, 21, 4)]
+    return WeightedGraph(edges, origin=0, targets=[21])
+
+
+def test_wide_rows_match_scalar_reference():
+    # a row of 32 entries takes five halvings of the binary search
+    g = _hub_graph()
+    assert max(map(len, g.adjacency)) == 20
+    assert montecarlo._GraphSampler(g).size == 32
+    cfg = SimConfig(seed=11, replications=40, max_steps=600)
+    times = simulate_hitting(g, cfg).times
+    assert (times == _reference_times(g, 11, 40, 600)).all()
+    assert times.max() > 20
+    steps = (2, 255, 256, 257, 600)
+    cfg = SimConfig(seed=11, replications=6, max_steps=600, record_steps=steps)
+    ref = _reference_distances(g, 11, 6, steps)
+    assert (escape_ratios(g, cfg).distances == ref).all()
+
+
+def _padded_tables(graph):
+    """The 2-D tables nbr_pad, cum_pad that step once searched by broadcast."""
+    width = max(map(len, graph.adjacency)) or 1
+    nbr_pad = np.zeros((graph.n, width), dtype=np.int64)
+    cum_pad = np.full((graph.n, width), 2.0)
+    for i, nbrs in enumerate(graph.adjacency):
+        if graph.vertex_weights[i] == 0.0:
+            nbr_pad[i, :] = i
+            continue
+        cols = sorted(nbrs)
+        probs = np.array([nbrs[j] for j in cols]) / graph.vertex_weights[i]
+        nbr_pad[i] = cols[-1]
+        nbr_pad[i, : len(cols)] = cols
+        cum_pad[i, : len(cols)] = np.cumsum(probs)
+        cum_pad[i, len(cols) - 1] = 1.0
+    return nbr_pad, cum_pad
+
+
+def test_step_matches_broadcast_count_at_ties():
+    # u exactly on every cumulative entry and one ulp below it; a tie must
+    # still go right.  Vertex 0 of tied has two equal entries (0.5 + 5e-18
+    # rounds to 0.5), and the unreachable target's row has width 1.
+    tied = WeightedGraph([(0, 1, 1.0), (0, 2, 1e-17), (0, 3, 1.0), (3, 4, 1.0)],
+                         origin=0, targets=[4])
+    lone = WeightedGraph([(0, 1, 1.0)], origin=0, targets=[5], vertices=[5])
+    for g in (corpus_graph(2), _hub_graph(), tied, lone):
+        nbr_pad, cum_pad = _padded_tables(g)
+        pos, u = [], []
+        for i in range(g.n):
+            for c in cum_pad[i][cum_pad[i] <= 1.0].tolist():
+                pos += [i, i]
+                u += [c, np.nextafter(c, 0.0)]
+            pos += [i, i]
+            u += [0.0, np.nextafter(1.0, 0.0)]
+        pos, u = np.array(pos), np.array(u)
+        pos, u = pos[u < 1.0], u[u < 1.0]
+        choice = (u[:, None] >= cum_pad[pos]).sum(axis=1)
+        expected = nbr_pad.ravel().take(pos * cum_pad.shape[1] + choice)
+        assert (montecarlo._GraphSampler(g).step(pos, u) == expected).all()
+    assert np.cumsum([0.5, 5e-18])[1] == 0.5
+
+
 def test_output_independent_of_chunk_size(monkeypatch):
     # 10 replications in chunks of 3 leave a final chunk of one
     cases = [
@@ -328,6 +394,23 @@ def test_csv_format():
     stats = {line.split(",")[1] for line in to_csv_text(es).splitlines()[1:]}
     assert stats == {"distance", "speed_ratio", "single_log_ratio"}
 
+
+
+def test_csv_text_formats_every_row():
+    # the row-by-row formatter that to_csv_text replaced is the reference
+    samples = [
+        simulate_hitting(unit_path(6), SimConfig(seed=0, replications=30,
+                                                 max_steps=40)),
+        escape_ratios(BiasedWalk(1.5), SimConfig(seed=1, replications=20,
+                                                 max_steps=300,
+                                                 record_steps=(2, 17, 300))),
+    ]
+    assert 0 < samples[0].censored_count < 30
+    for sample in samples:
+        lines = ["replication,statistic,k,value,censored"]
+        for r, stat, k, value, censored in sample.to_rows():
+            lines.append(f"{r},{stat},{k},{value!r},{str(censored).lower()}")
+        assert to_csv_text(sample) == "\n".join(lines) + "\n"
 
 def test_estimate_tail_brackets_exact_value():
     # unit path 0..4: P(T <= 4) is exactly 1/8 (straight descent)

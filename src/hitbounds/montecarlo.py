@@ -215,8 +215,9 @@ def _walk(config: SimConfig, start: int, step, steps, stop=None):
     step(pos, u) maps positions and one uniform each to new positions; the
     +-1 walk on Z passes its right-step probability p instead, and its
     position at column c of a block is the block's start plus
-    2 * #(u < p in columns 0..c) - (c + 1), counted only at record steps and
-    block ends.  Replication r's step k uses uniform k - 1 of its stream:
+    2 * #(u < p in columns 0..c) - (c + 1).  Each block is compared with p in
+    place, with no temporary, and its flags are summed only at record steps
+    and block ends.  Replication r's step k uses uniform k - 1 of its stream:
     refill j sets the one generator's key to (seed, r) and counter to 64j,
     then draws uniforms 256j..256j+255 into row i of the buffer, i the
     walker's rank among those live, so a step gathers one column.
@@ -242,10 +243,12 @@ def _walk(config: SimConfig, start: int, step, steps, stop=None):
                     bits.state = state
                     draw(out=buf[i])
                 rows, base = np.arange(reps.size), pos
+                if not callable(step):  # 1.0 marks a right step
+                    np.less(buf, step, out=buf)
             if callable(step):
                 pos = step(pos, buf[:, col][rows])
             elif k in steps or col == _BUFFER_COLS - 1:
-                right = np.count_nonzero(buf[:, : col + 1] < step, axis=1)
+                right = buf[:, : col + 1].sum(axis=1).astype(np.int64)
                 pos = base + 2 * right - (col + 1)
             if stop is None:
                 if k in steps:

@@ -299,26 +299,22 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                          expected=expected, drift=drift)
     sources = [("weight_ratio", g_a, excess_a), ("resistance", g_b, excess_b)]
 
+    grids = {}  # the tail grid of each source: its a values in [1, mean time]
     for source, g, excess in sources:
         if excess <= _VACUOUS_EXCESS:
             report.checks.append(BoundCheck(
                 kind="mean", source=source, g=g, param=None, bound=math.inf,
                 observed=expected, margin=math.inf, passed=True, vacuous=True))
             report.notes.append(f"{source}: drift degenerate, mean bound vacuous")
+            grids[source] = ()
             continue
-        bound = (1.0 + 2.0 / excess) * n + 1.0  # (g+1)/(g-1) n + 1 via the excess
+        mean_time = 1.0 + 2.0 / excess  # (g+1)/(g-1) via the excess
+        bound = mean_time * n + 1.0
         report.checks.append(BoundCheck(
             kind="mean", source=source, g=g, param=None, bound=bound,
             observed=expected, margin=expected / bound - 1.0,
             passed=expected >= bound * (1.0 - _SLACK)))
-
-    grids = {}
-    for source, g, excess in sources:
-        if excess <= _VACUOUS_EXCESS:
-            grids[source] = ()
-            continue
         candidate = tuple(a_grid) if a_grid is not None else default_a_grid(g)
-        mean_time = 1.0 + 2.0 / excess
         grids[source] = tuple(a for a in candidate if 1.0 <= a <= mean_time)
         if len(grids[source]) < len(candidate):
             report.notes.append(

@@ -84,6 +84,8 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
     Thresholds: node law 1e-10, cycle gap 1e-9, parameter agreement with
     the exact engine 1e-10, reconstruction 1e-9 (sup norm), convex
     recombination and array identities 1e-9, inequalities never violated.
+    A gap law fails at or above its threshold; "worst" keeps each gap's
+    largest value and the smallest chain slack.
     """
     start = time.monotonic()
     failures = []
@@ -94,8 +96,14 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
     }
     count = 0
 
-    def fail(i, beta, kind, value):
+    def fail(kind, value):
         failures.append({"graph": i, "beta": beta, "kind": kind, "value": value})
+
+    def gap(key, kind, value, limit):
+        """Keep the worst value of a gap law; a value at or above its limit fails."""
+        worst[key] = max(worst[key], value)
+        if value >= limit:
+            fail(kind, value)
 
     for beta in betas:
         flows._check_beta(beta)
@@ -106,38 +114,28 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
             flow = flows.build_flow(graph, beta)
             work = flow.graph
 
-            resid = flows.node_law_residual(flow)
-            worst["node_residual"] = max(worst["node_residual"], resid)
-            if resid >= 1e-10:
-                fail(i, beta, "node_law", resid)
-
-            gap = flows.cycle_reversibility_gap(flow)
-            worst["cycle_gap"] = max(worst["cycle_gap"], gap)
-            if gap >= 1e-9:
-                fail(i, beta, "cycle_reversibility", gap)
+            gap("node_residual", "node_law", flows.node_law_residual(flow), 1e-10)
+            gap("cycle_gap", "cycle_reversibility",
+                flows.cycle_reversibility_gap(flow), 1e-9)
 
             params = flows.flow_parameters(flow)
             exact = engine.WalkParameters.from_graph(work, beta)
             s_exact, r_exact, g_exact = exact.survival, exact.visits, exact.gamma
-            pgap = max(_relative_gap(params.survival, s_exact),
-                       _relative_gap(params.visits, r_exact),
-                       _relative_gap(params.gamma, g_exact))
-            worst["parameter_gap"] = max(worst["parameter_gap"], pgap)
-            if pgap >= 1e-10:
-                fail(i, beta, "flow_parameters", pgap)
+            gap("parameter_gap", "flow_parameters",
+                max(_relative_gap(params.survival, s_exact),
+                    _relative_gap(params.visits, r_exact),
+                    _relative_gap(params.gamma, g_exact)), 1e-10)
 
             dec = flows.decompose(flow)
             laws = dec.laws()
-            worst["reconstruction"] = max(worst["reconstruction"],
-                                          laws["reconstruction_error"])
-            if laws["reconstruction_error"] >= 1e-9:
-                fail(i, beta, "reconstruction", laws["reconstruction_error"])
+            gap("reconstruction", "reconstruction", laws["reconstruction_error"],
+                1e-9)
             if not laws["alpha_within_unit"]:
-                fail(i, beta, "alpha_sum", laws["total_alpha"])
+                fail("alpha_sum", laws["total_alpha"])
             if not laws["paths_at_least_distance"]:
-                fail(i, beta, "path_length", laws["component_count"])
+                fail("path_length", laws["component_count"])
             if laws["dead_target_inflow"] > 1e-9 * max(1.0, laws["scale"]):
-                fail(i, beta, "dead_target_inflow", laws["dead_target_inflow"])
+                fail("dead_target_inflow", laws["dead_target_inflow"])
 
             oi = flow.origin_index
             s_mix = math.fsum(c.alpha * c.survival() for c in dec.components)
@@ -147,25 +145,19 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
             arrays = flows.array_representation(dec)
             s_arr = arrays.survival_value()
             g_arr = arrays.gamma_value()
-            convex_gap = max(abs(s_mix - s_exact),
-                             _relative_gap(r_mix, r_exact),
-                             _relative_gap(g_arr, g_exact))
-            worst["convex_gap"] = max(worst["convex_gap"], convex_gap)
-            if convex_gap >= 1e-9:
-                fail(i, beta, "convex_combination", convex_gap)
-
-            array_gap = max(abs(s_arr - s_exact), _relative_gap(g_arr, g_exact))
-            worst["array_gap"] = max(worst["array_gap"], array_gap)
-            if array_gap >= 1e-9:
-                fail(i, beta, "array_identity", array_gap)
+            gap("convex_gap", "convex_combination",
+                max(abs(s_mix - s_exact), _relative_gap(r_mix, r_exact),
+                    _relative_gap(g_arr, g_exact)), 1e-9)
+            gap("array_gap", "array_identity",
+                max(abs(s_arr - s_exact), _relative_gap(g_arr, g_exact)), 1e-9)
             if r_exact > arrays.visits_upper_bound() * (1.0 + 1e-12):
-                fail(i, beta, "visits_upper_bound", r_exact)
+                fail("visits_upper_bound", r_exact)
 
             gam, chain = flows.gamma_chain_bound(work, beta)
             worst["chain_slack"] = min(worst["chain_slack"],
                                        gam - chain + 1e-300)
             if gam < chain * (1.0 - 1e-9):
-                fail(i, beta, "chain_inequality", chain - gam)
+                fail("chain_inequality", chain - gam)
 
     return {
         "cases": count,

@@ -116,30 +116,35 @@ def _solve(graph: WeightedGraph, betas, idx, rhs, transpose=False):
     Up to _DENSE_MAX unknowns the systems go to LAPACK as (k, m, m) stacks
     of at most (_DENSE_MAX // m)^2 systems, no more entries than one
     _DENSE_MAX-sized solve; above it SuperLU factors one beta at a time.
+    A system singular in floating point (an edge weight lost beside its
+    neighbours' in a vertex weight) raises GraphError on either branch.
     """
     r, c, p = _restrict(graph, idx)
     inner = c >= 0  # absorbed columns outside idx drop out of the system
     r, c, p = r[inner], c[inner], p[inner]
     m = len(idx)
-    if m <= _DENSE_MAX:
-        flat = c * m + r if transpose else r * m + c  # in a raveled m x m system
-        b = rhs.reshape(1, m, -1)  # one right-hand side, broadcast over a stack
-        step = max(1, (_DENSE_MAX // m) ** 2)
-        x = []
-        for i in range(0, len(betas), step):
-            chunk = np.asarray(betas[i:i + step], dtype=float)[:, None]
-            a = np.zeros((len(chunk), m * m))
-            a[:, ::m + 1] = 1.0
-            a[:, flat] -= chunk * p
-            x.append(np.linalg.solve(a.reshape(-1, m, m), b))
-        return np.concatenate(x).reshape(len(betas), *rhs.shape)
-    from scipy.sparse import csc_matrix, identity
-    from scipy.sparse.linalg import splu
+    try:
+        if m <= _DENSE_MAX:
+            flat = c * m + r if transpose else r * m + c  # in a raveled m x m system
+            b = rhs.reshape(1, m, -1)  # one right-hand side, broadcast over a stack
+            step = max(1, (_DENSE_MAX // m) ** 2)
+            x = []
+            for i in range(0, len(betas), step):
+                chunk = np.asarray(betas[i:i + step], dtype=float)[:, None]
+                a = np.zeros((len(chunk), m * m))
+                a[:, ::m + 1] = 1.0
+                a[:, flat] -= chunk * p
+                x.append(np.linalg.solve(a.reshape(-1, m, m), b))
+            return np.concatenate(x).reshape(len(betas), *rhs.shape)
+        from scipy.sparse import csc_matrix, identity
+        from scipy.sparse.linalg import splu
 
-    eye = identity(m, format="csc")
-    return np.stack([
-        splu(eye - csc_matrix((beta * p, (r, c)), shape=(m, m)))
-        .solve(rhs, trans="T" if transpose else "N") for beta in betas])
+        eye = identity(m, format="csc")
+        return np.stack([
+            splu(eye - csc_matrix((beta * p, (r, c)), shape=(m, m)))
+            .solve(rhs, trans="T" if transpose else "N") for beta in betas])
+    except (np.linalg.LinAlgError, RuntimeError):  # SuperLU raises RuntimeError
+        raise GraphError("I - beta K_z is singular in floating point") from None
 
 
 def green_rows(graph: WeightedGraph, betas) -> list:
@@ -216,11 +221,12 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
     """
     kz = _kernel(graph)
     if kz.expected is None:
-        kz.expected = math.inf
+        expected = math.inf
         if kz.at_target.any():
             alive = kz.comp[~kz.at_target]
             h = _solve(graph, (1.0,), alive, np.ones(len(alive)))[0]
-            kz.expected = float(h[np.searchsorted(alive, graph.origin_index)])
+            expected = float(h[np.searchsorted(alive, graph.origin_index)])
+        kz.expected = expected  # kept only once the solve has succeeded
     return kz.expected
 
 

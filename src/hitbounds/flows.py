@@ -325,12 +325,16 @@ class FlowDecomposition:
 
     flow: LossFlow
     components: list
-    dead_alpha: float
     dead_matrix: np.ndarray = field(repr=False)
 
     @property
     def total_alpha(self) -> float:
         return float(sum(c.alpha for c in self.components))
+
+    @property
+    def dead_alpha(self) -> float:
+        """Weight of the dead-end remainder: 1 - total_alpha, at least 0."""
+        return max(0.0, 1.0 - self.total_alpha)
 
     def reconstruct(self) -> np.ndarray:
         m = self.dead_matrix.copy()
@@ -349,13 +353,8 @@ class FlowDecomposition:
         """Numerical summary of everything the decomposition must satisfy."""
         zi = self.flow.target_index
         scale = float(self.flow.matrix.max()) or 1.0
-        min_len = None
-        if self.flow.graph is not None:
-            d = self.flow.graph.distance(self.flow.graph.origin)
-            min_len = None if math.isinf(d) else int(d)
-        shortest_ok = True
-        if min_len is not None:
-            shortest_ok = all(c.length >= min_len for c in self.components)
+        graph = self.flow.graph
+        d = 0 if graph is None else graph.distance(graph.origin)
         return {
             "reconstruction_error": self.reconstruction_error(),
             "total_alpha": self.total_alpha,
@@ -364,7 +363,7 @@ class FlowDecomposition:
             "dead_target_inflow": float(self.dead_matrix[:, zi].sum()),
             "scale": scale,
             "component_count": len(self.components),
-            "paths_at_least_distance": shortest_ok,
+            "paths_at_least_distance": all(c.length >= d for c in self.components),
         }
 
     def to_dict(self) -> dict:
@@ -461,11 +460,7 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
             backward=tuple(map(float, backward))))
     else:
         raise DecompositionError("decomposition failed to terminate")
-
-    total = float(sum(c.alpha for c in components))
-    dead_alpha = max(0.0, 1.0 - total)
-    return FlowDecomposition(flow=flow, components=components,
-                             dead_alpha=dead_alpha, dead_matrix=w)
+    return FlowDecomposition(flow=flow, components=components, dead_matrix=w)
 
 
 # -- array representation --------------------------------------------------
@@ -490,13 +485,11 @@ class ArrayRepresentation:
 
     Exact identity: survival_value() reproduces S_beta.  Bound:
     visits_upper_bound() dominates R_beta (the factor 2 absorbs the
-    dead-end contribution).  gamma_values() lists prod h(s) per component,
-    the Gamma of each path flow taken on its own.
+    dead-end contribution).
     """
 
     beta: float
     rows: tuple
-    dead_alpha: float
 
     def survival_value(self) -> float:
         return self.beta * math.fsum(
@@ -509,20 +502,18 @@ class ArrayRepresentation:
         mix = math.fsum(row.alpha * self.first_edge_s(row) for row in self.rows)
         return 2.0 / (1.0 - self.beta ** 2) * (1.0 - self.beta * mix)
 
-    def gamma_values(self) -> tuple:
-        out = []
-        for row in self.rows:
-            if any(s >= self.beta for s in row.s):
-                out.append(math.inf)  # degenerate edge; cannot arise from graphs
-            else:
-                out.append(math.prod(
-                    (h_transform(s, self.beta) for s in row.s), start=1.0))
-        return tuple(out)
-
     def gamma_value(self) -> float:
-        """Whole-flow Gamma: sum of alpha * prod h(s) over path components."""
+        """Whole-flow Gamma: sum of alpha * prod h(s) over path components.
+
+        prod h(s) is the Gamma of one path flow taken on its own.  A row with
+        some s >= beta (a degenerate edge, which no graph flow has) adds
+        alpha * inf.
+        """
         return float(math.fsum(
-            row.alpha * g for row, g in zip(self.rows, self.gamma_values())))
+            row.alpha * math.inf if any(s >= self.beta for s in row.s)
+            else row.alpha * math.prod(
+                (h_transform(s, self.beta) for s in row.s), start=1.0)
+            for row in self.rows))
 
 
 def array_representation(source) -> ArrayRepresentation:
@@ -534,8 +525,7 @@ def array_representation(source) -> ArrayRepresentation:
         interior = tuple(
             (beta - th) / (1.0 - beta * th) for th in comp.thetas[:-1])
         rows.append(ArrayRow(alpha=comp.alpha, s=interior, length=comp.length))
-    return ArrayRepresentation(beta=beta, rows=tuple(rows),
-                               dead_alpha=decomposition.dead_alpha)
+    return ArrayRepresentation(beta=beta, rows=tuple(rows))
 
 
 def gamma_chain_bound(graph: WeightedGraph, beta: float) -> tuple:

@@ -277,7 +277,10 @@ _REQUIRED_FIELDS = ("vertices", "edges", "origin", "targets")
 
 
 def parse(text: str) -> WeightedGraph:
-    """Parse the JSON graph format into a WeightedGraph."""
+    """Parse the JSON graph format into a WeightedGraph.
+
+    A malformed document raises ParseError, whatever part of it is wrong.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -290,35 +293,39 @@ def parse(text: str) -> WeightedGraph:
     for field in _REQUIRED_FIELDS:
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list):
-        raise ParseError("'vertices' must be a list")
     known = set()
-    for x in vertices:
-        _label_key(x)
-        if x in known:
-            raise ParseError(f"duplicate vertex {x!r}")
-        known.add(x)
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise ParseError("'edges' must be a list")
-    for item in edges:
-        if not isinstance(item, list) or len(item) != 3:
-            raise ParseError(f"edge must be a [u, v, w] triple, got {item!r}")
-        if item[0] not in known or item[1] not in known:
-            raise ParseError(f"edge {item!r} references an unknown vertex")
-    if doc["origin"] not in known:
-        raise ParseError(f"unknown origin {doc['origin']!r}")
-    targets = doc["targets"]
-    if not isinstance(targets, list) or not targets:
-        raise ParseError("'targets' must be a non-empty list")
-    for t in targets:
-        if t not in known:
-            raise ParseError(f"unknown target {t!r}")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ParseError("'metadata' must be an object")
+
+    def is_known(x):
+        _label_key(x)  # a list or an object is no label, and has no hash
+        return x in known
+
     try:
+        vertices = doc["vertices"]
+        if not isinstance(vertices, list):
+            raise ParseError("'vertices' must be a list")
+        for x in vertices:
+            if is_known(x):
+                raise ParseError(f"duplicate vertex {x!r}")
+            known.add(x)
+        edges = doc["edges"]
+        if not isinstance(edges, list):
+            raise ParseError("'edges' must be a list")
+        for item in edges:
+            if not isinstance(item, list) or len(item) != 3:
+                raise ParseError(f"edge must be a [u, v, w] triple, got {item!r}")
+            if not is_known(item[0]) or not is_known(item[1]):
+                raise ParseError(f"edge {item!r} references an unknown vertex")
+        if not is_known(doc["origin"]):
+            raise ParseError(f"unknown origin {doc['origin']!r}")
+        targets = doc["targets"]
+        if not isinstance(targets, list) or not targets:
+            raise ParseError("'targets' must be a non-empty list")
+        for t in targets:
+            if not is_known(t):
+                raise ParseError(f"unknown target {t!r}")
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ParseError("'metadata' must be an object")
         return WeightedGraph(
             [(u, v, w) for u, v, w in edges],
             doc["origin"],

@@ -244,3 +244,37 @@ def test_mean_bound_below_exact_on_sample(corpus_sample):
 def test_bounds_hold_on_random_graphs(seed):
     report = bounds.check_theorem1(random_graph(seed=seed))
     assert report.all_pass, report.failures()
+
+
+def test_check_degenerate_drift_is_vacuous(monkeypatch):
+    """g - 1 <= _VACUOUS_EXCESS: a vacuous mean check, a note, no tail grid."""
+    graph = unit_path(6)
+    monkeypatch.setattr(bounds, "_drift_log_excess", lambda n, ratio: 0.0)
+    monkeypatch.setattr(bounds, "drift_from_resistance", lambda work: 1.0)
+    report = bounds.check_theorem1(graph, a_grid=(1.0, 1.5), beta_grid=())
+    assert report.drift["weight_ratio"] == report.drift["resistance"] == 1.0
+    means = [c for c in report.checks if c.kind == "mean"]
+    assert [c.source for c in means] == ["weight_ratio", "resistance"]
+    for c in means:
+        assert (c.g, c.param, c.bound, c.margin) == (1.0, None, math.inf, math.inf)
+        assert c.observed == report.expected
+        assert c.vacuous and c.passed
+    assert report.checks == means
+    assert report.notes == ["weight_ratio: drift degenerate, mean bound vacuous",
+                            "resistance: drift degenerate, mean bound vacuous"]
+    assert report.all_pass and report.min_margin() == math.inf
+
+
+def test_check_notes_follow_source_order(monkeypatch):
+    """Each source's mean and grid notes come together, sources in order."""
+    graph = unit_path(6)
+    monkeypatch.setattr(bounds, "drift_from_resistance", lambda work: 1.0)
+    report = bounds.check_theorem1(graph, a_grid=(1.0, 1e9), beta_grid=())
+    mean_time = 1.0 + 2.0 / math.expm1(bounds._drift_log_excess(report.n,
+                                                                 report.ratio))
+    assert report.notes == [
+        f"weight_ratio: a values outside [1, {mean_time:.6g}] skipped",
+        "resistance: drift degenerate, mean bound vacuous"]
+    assert [(c.kind, c.source, c.param) for c in report.checks] == [
+        ("mean", "weight_ratio", None), ("mean", "resistance", None),
+        ("tail", "weight_ratio", 1.0)]

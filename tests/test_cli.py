@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hitbounds import bounds, cli, engine
+from hitbounds import bounds, cli, corpus, engine
 from hitbounds.graph import (
     WeightedGraph, parse, read_graph_file, serialize, write_graph_file)
 from hitbounds.generators import biased_line, fast_path, unit_path
@@ -389,3 +389,64 @@ def test_console_script_installed(path5, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["expected_time"] == 25.0
+
+
+def _strip_timings(doc):
+    if isinstance(doc, dict):
+        return {k: _strip_timings(v) for k, v in doc.items()
+                if k not in ("elapsed_seconds", "manifest")}
+    return doc
+
+
+def test_analyze_grids_reach_check(path5, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(path5), "--beta-grid", "0.3, 0.7",
+                "--a-grid", "1.2,1.5,", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    report = bounds.check_theorem1(unit_path(5), a_grid=(1.2, 1.5),
+                                   beta_grid=(0.3, 0.7))
+    assert doc["bounds"] == cli._jsonable(report.to_dict())
+    assert doc["manifest"]["parameters"]["beta_grid"] == [0.3, 0.7]
+
+
+def test_corpus_check_beta_grid_reaches_flow_report(tmp_path):
+    out = tmp_path / "corpus.json"
+    assert run(["corpus-check", "--count", "5", "--flow-count", "2",
+                "--beta-grid", "0.3,0.6", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    reports = corpus.run_all(count=5, flow_count=2, flow_betas=(0.3, 0.6))
+    assert _strip_timings(doc) == _strip_timings(cli._jsonable(reports))
+    assert doc["flows"]["cases"] == 4
+
+
+def test_simulate_speed_records_horizon_by_default(tmp_path):
+    args = ["simulate", "--reference-g", "2.0", "--estimator", "speed",
+            "--seed", "1", "--reps", "10", "--horizon", "64"]
+    implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+    assert run(args + ["--out", str(implicit)]) == 0
+    assert run(args + ["--record", "64", "--out", str(explicit)]) == 0
+    assert implicit.read_text() == explicit.read_text()
+    assert {line.split(",")[2] for line in
+            implicit.read_text().splitlines()[1:]} == {"64"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": [0, 1], "edges": [[[0], 1, 1.0]], "origin": 0, "targets": [1]}',
+    '{"vertices": [0, 1], "edges": [[0, 1, 1.0]], "origin": 0, "targets": [7]}',
+])
+def test_analyze_malformed_document_exits_one(text, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert run(["analyze", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [4, 251])
+def test_analyze_singular_kernel_exits_one(n, tmp_path, capsys):
+    edges = [(i, i + 1, 1.0) for i in range(n - 2)] + [(n - 2, n - 1, 1e-30)]
+    p = tmp_path / "singular.json"
+    write_graph_file(WeightedGraph(edges, origin=0, targets=[n - 1]), p)
+    assert run(["analyze", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "error: I - beta K_z is singular in floating point\n")

@@ -517,3 +517,54 @@ def test_import_leaves_sparse_solvers_unloaded():
             "sys.exit('scipy.sparse.linalg' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _path_with_weights(weights):
+    edges = [(i, i + 1, w) for i, w in enumerate(weights)]
+    return WeightedGraph(edges, origin=0, targets=[len(weights)])
+
+
+@pytest.mark.parametrize("n", [4, 251])  # 2 and 249 unknowns: LAPACK and SuperLU
+def test_singular_kernel_raises_graph_error(n):
+    # 1 + 1e-30 == 1: the last live row of I - K_z is 0 in floating point
+    graph = _path_with_weights([1.0] * (n - 2) + [1e-30])
+    assert (n - 2 <= engine._DENSE_MAX) is (n == 4)
+    for _ in range(2):  # a failed solve leaves nothing in the walk record
+        with pytest.raises(GraphError, match="singular in floating point"):
+            engine.expected_hitting_time(graph)
+        with pytest.raises(GraphError, match="singular in floating point"):
+            engine.green_rows(graph, (1.0,))
+    kz = engine._kernel(graph)
+    assert kz.expected is None and kz.rows == {}
+
+
+@pytest.mark.xfail(raises=GraphError, strict=True,
+                   reason="ROADMAP item 1: the LU solve loses the small weights")
+@pytest.mark.parametrize("weights", [
+    (1.0, 1e-13),  # survival 1.0008 outside [0, 1]
+    tuple(10.0 ** (-3 * i) for i in range(10)),  # visit count -6.9e15 below 1
+], ids=["3_vertices", "11_vertices"])
+def test_tiny_weight_paths_keep_exact_statistics(weights):
+    graph = _path_with_weights(weights)
+    bounds.check_theorem1(graph)
+    assert engine.survival_transform(graph, 1.0) == pytest.approx(1.0, rel=1e-12)
+    resistance = math.fsum(1.0 / w for w in weights)
+    assert engine.origin_visits(graph, 1.0) == pytest.approx(
+        weights[0] * resistance, rel=1e-12)
+
+
+def test_green_kernel_targetless_component_is_infinite_at_one():
+    g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (3, 4, 2.0)], origin=0, targets=[2])
+    full = engine.green_kernel(g, 1.0)
+    assert np.isinf(full[3:, 3:]).all()
+    assert not full[:3, 3:].any() and not full[3:, :3].any()
+    assert np.isfinite(full[:3, :3]).all()
+    assert full[0, 0] == engine.origin_visits(g, 1.0)
+    assert np.isfinite(engine.green_kernel(g, 0.5)).all()
+
+
+def test_green_kernel_refuses_graphs_above_dense_limit():
+    graph = unit_path(engine.DENSE_VERTEX_LIMIT)  # one vertex more than the limit
+    assert graph.n == engine.DENSE_VERTEX_LIMIT + 1
+    with pytest.raises(GraphError, match="use green_row"):
+        engine.green_kernel(graph, 0.5)

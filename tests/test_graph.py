@@ -173,6 +173,34 @@ def test_parse_rejects_junk():
         parse(json.dumps({"edges": [[0, 1, 1.0]], "origin": 0}))  # no targets
 
 
+_GOOD = {"vertices": [0, 1, 2], "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+         "origin": 0, "targets": [2]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"vertices": {"0": 1}}, "'vertices' must be a list"),
+    ({"vertices": [0, 1, 2, 1]}, "duplicate vertex 1"),
+    ({"vertices": [0, 1, 2, 1.5]}, "vertex label must be int or str, got 1.5"),
+    ({"edges": 3}, "'edges' must be a list"),
+    ({"edges": [[0, 1]]}, r"edge must be a \[u, v, w\] triple"),
+    ({"edges": [[0, 3, 1.0]]}, "references an unknown vertex"),
+    ({"edges": [[[0], 1, 1.0]]}, r"vertex label must be int or str, got \[0\]"),
+    ({"origin": 7}, "unknown origin 7"),
+    ({"origin": {"id": 0}}, "vertex label must be int or str"),
+    ({"targets": []}, "'targets' must be a non-empty list"),
+    ({"targets": 2}, "'targets' must be a non-empty list"),
+    ({"targets": [5]}, "unknown target 5"),
+    ({"targets": [[2]]}, "vertex label must be int or str"),
+    ({"metadata": []}, "'metadata' must be an object"),
+    # GraphError from the constructor, raised as ParseError
+    ({"edges": [[0, 1, -1.0], [1, 2, 1.0]]}, "negative weight"),
+    ({"origin": 2}, "must not be a target"),
+])
+def test_parse_rejects_malformed_document(change, message):
+    with pytest.raises(ParseError, match=message):
+        parse(json.dumps({**_GOOD, **change}))
+
+
 def test_file_round_trip(tmp_path):
     g = square()
     path = tmp_path / "g.json"

@@ -14,7 +14,7 @@ Modules:
     engine      exact linear-algebra statistics (mean, pmf, transform)
     refwalk     the g-biased walk on the integers (the comparison object)
     bounds      drift calibration and the three lower-bound families
-    flows       loss flows, path decomposition, array identities
+    flows       loss flows, path decomposition and its identities
     generators  named graph families and the seeded random corpus member
     montecarlo  vectorized samplers with reproducible streams
     corpus      seeded corpus and whole-suite property reports
@@ -43,20 +43,16 @@ from .engine import (
     expected_hitting_time,
     gamma,
     green_kernel,
-    green_row,
     green_rows,
     hitting_time_pmf,
     origin_visits,
     survival_transform,
 )
 from .flows import (
-    ArrayRepresentation,
-    ArrayRow,
     FlowDecomposition,
     FlowError,
     LossFlow,
     PathComponent,
-    array_representation,
     build_flow,
     cycle_reversibility_gap,
     decompose,

@@ -175,11 +175,12 @@ class BoundCheck:
     """One bound-versus-exact comparison.
 
     kind is "mean", "tail" or "transform"; source names the drift parameter
-    ("weight_ratio" or "resistance"); param is the grid value (a or beta).
-    margin is the relative room to spare: positive means strictly inside the
-    bound.  passed allows a relative _SLACK of roundoff, so a check within
-    1e-9 of its bound passes with a margin just below 0; no absolute floor
-    applies.  Vacuous checks (degenerate drift, underflowed S_beta or tail
+    ("weight_ratio" or "resistance", or "trivial" for E[T] >= 1 alone);
+    param is the grid value (a or beta).  margin is the relative room to
+    spare: positive means strictly inside the bound.  passed allows a
+    relative _SLACK of roundoff, so a check within 1e-9 of its bound passes
+    with a margin just below 0; no absolute floor applies.  Vacuous checks
+    (the trivial check, degenerate drift, underflowed S_beta or tail
     probability, an upper bound below sys.float_info.min) pass.
     """
 
@@ -234,30 +235,30 @@ class BoundReport:
         }
 
 
-def _trivial_report(n, ratio, resistance, expected, note):
-    check = BoundCheck(kind="mean", source="trivial", g=math.inf, param=None,
-                       bound=1.0, observed=expected, margin=math.inf,
-                       passed=expected >= 1.0, vacuous=True)
-    return BoundReport(n=n, ratio=ratio, resistance=resistance,
-                       expected=expected, drift={}, checks=[check], notes=[note])
+def _check(report, kind, source, g, param, bound, observed, vacuous=False):
+    """Add one check: observed >= bound for a mean, observed <= bound otherwise.
 
-
-def _upper_check(report, kind, source, g, param, bound, observed, vacuous):
-    """Add the check observed <= bound, up to a relative _SLACK of roundoff.
-
-    A bound below the smallest normal float has lost its relative precision,
-    so a live check against it becomes vacuous, with a note.
+    Pass rule: a check passes within a relative _SLACK of roundoff of its
+    bound.  Vacuity rule: a vacuous check passes, and an upper bound below
+    the smallest normal float has lost its relative precision, so a live
+    check against it becomes vacuous, with a note.  margin is the relative
+    room to spare; a vacuous mean check has none to measure, so inf.
     """
-    if bound < sys.float_info.min and not vacuous:
-        vacuous = True
-        name = "a" if kind == "tail" else "beta"
-        report.notes.append(f"{source}: {kind} bound at {name}={param:.6g} is "
-                            f"{bound:.3g}, below the normal range, check vacuous")
+    if kind == "mean":
+        margin = math.inf if vacuous else observed / bound - 1.0
+        inside = observed >= bound * (1.0 - _SLACK)
+    else:
+        if bound < sys.float_info.min and not vacuous:
+            vacuous = True
+            name = "a" if kind == "tail" else "beta"
+            report.notes.append(f"{source}: {kind} bound at {name}={param:.6g} is "
+                                f"{bound:.3g}, below the normal range, check vacuous")
+        margin = (bound - observed) / bound if bound > 0 else math.inf
+        inside = observed <= bound * (1.0 + _SLACK)
     report.checks.append(BoundCheck(
         kind=kind, source=source, g=g, param=param, bound=bound,
-        observed=observed,
-        margin=(bound - observed) / bound if bound > 0 else math.inf,
-        passed=vacuous or observed <= bound * (1.0 + _SLACK), vacuous=vacuous))
+        observed=observed, margin=margin, passed=vacuous or inside,
+        vacuous=vacuous))
 
 
 def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundReport:
@@ -273,47 +274,44 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
     work = graph.normalized()
     d = work.distance(work.origin)
     expected = engine.expected_hitting_time(work)
-    if not math.isfinite(d) or not math.isfinite(expected):
-        return _trivial_report(0, math.nan, math.inf, math.inf,
-                               "target unreachable: every bound holds vacuously")
-    betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
-    if d >= 2:  # every Green row the checks read, resistance's too, in one solve
-        engine.green_rows(work, (1.0, *betas))
-    ratio = work.set_weight() / work.vertex_weight(work.origin)
-    resistance = engine.effective_resistance(work)
-    if d < 2:
-        return _trivial_report(0, ratio, resistance, expected,
-                               "origin adjacent to target: only E[T] >= 1 applies")
-    n = int(d) - 1
+    report = BoundReport(n=0, ratio=math.nan, resistance=math.inf,
+                         expected=math.inf, drift={})
+    reachable = math.isfinite(d) and math.isfinite(expected)
+    if reachable:
+        betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
+        if d >= 2:  # every Green row the checks read, resistance's too, in one solve
+            engine.green_rows(work, (1.0, *betas))
+        report.ratio = ratio = work.set_weight() / work.vertex_weight(work.origin)
+        report.resistance = engine.effective_resistance(work)
+        report.expected = expected
+    if not reachable or d < 2:
+        # E[T] >= 1 always holds: expected_hitting_time raises below dist(o, z)
+        report.notes.append("origin adjacent to target: only E[T] >= 1 applies"
+                            if reachable else
+                            "target unreachable: every bound holds vacuously")
+        _check(report, "mean", "trivial", math.inf, None, 1.0, report.expected, True)
+        return report
+    report.n = n = int(d) - 1
 
     u_a = _drift_log_excess(n, ratio)
     g_a = math.exp(u_a)
     excess_a = math.expm1(u_a)
     g_b = drift_from_resistance(work)
     excess_b = g_b - 1.0
-    drift = {"weight_ratio": g_a, "resistance": g_b}
+    report.drift = {"weight_ratio": g_a, "resistance": g_b}
     if n >= 3:
-        drift["rough"] = drift_upper_estimate(n, ratio)
-
-    report = BoundReport(n=n, ratio=ratio, resistance=resistance,
-                         expected=expected, drift=drift)
+        report.drift["rough"] = drift_upper_estimate(n, ratio)
     sources = [("weight_ratio", g_a, excess_a), ("resistance", g_b, excess_b)]
 
     grids = {}  # the tail grid of each source: its a values in [1, mean time]
     for source, g, excess in sources:
         if excess <= _VACUOUS_EXCESS:
-            report.checks.append(BoundCheck(
-                kind="mean", source=source, g=g, param=None, bound=math.inf,
-                observed=expected, margin=math.inf, passed=True, vacuous=True))
             report.notes.append(f"{source}: drift degenerate, mean bound vacuous")
+            _check(report, "mean", source, g, None, math.inf, expected, True)
             grids[source] = ()
             continue
         mean_time = 1.0 + 2.0 / excess  # (g+1)/(g-1) via the excess
-        bound = mean_time * n + 1.0
-        report.checks.append(BoundCheck(
-            kind="mean", source=source, g=g, param=None, bound=bound,
-            observed=expected, margin=expected / bound - 1.0,
-            passed=expected >= bound * (1.0 - _SLACK)))
+        _check(report, "mean", source, g, None, mean_time * n + 1.0, expected)
         candidate = tuple(a_grid) if a_grid is not None else default_a_grid(g)
         grids[source] = tuple(a for a in candidate if 1.0 <= a <= mean_time)
         if len(grids[source]) < len(candidate):
@@ -343,8 +341,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                 report.notes.append(
                     f"{source}: tail at a={a:.6g}: P(T <= {threshold}) "
                     "underflowed to 0, check vacuous")
-            _upper_check(report, "tail", source, g, float(a), bound, observed,
-                         underflow)
+            _check(report, "tail", source, g, float(a), bound, observed, underflow)
 
     for beta in betas:
         observed = engine.survival_transform(work, beta)
@@ -353,6 +350,6 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
             report.notes.append(f"transform at beta={beta:.6g}: S_beta underflowed "
                                 "to 0, checks vacuous")
         for source, g, excess in sources:
-            _upper_check(report, "transform", source, g, float(beta),
-                         transform_upper_bound(n, g, beta), observed, underflow)
+            _check(report, "transform", source, g, float(beta),
+                   transform_upper_bound(n, g, beta), observed, underflow)
     return report

@@ -132,11 +132,9 @@ def _cmd_analyze(args) -> int:
     graph = read_graph_file(args.graph)
     report = bounds.check_theorem1(graph, a_grid=args.a_grid,
                                    beta_grid=args.beta_grid)
-    expected = engine.expected_hitting_time(graph)
-    resistance = engine.effective_resistance(graph)
     distance = graph.distance(graph.origin)
-    if math.isfinite(expected):
-        stats = engine.hitting_time_pmf(graph, horizon=args.horizon)
+    if math.isfinite(report.expected):  # the normalized graph the report read
+        stats = engine.hitting_time_pmf(graph.normalized(), horizon=args.horizon)
         cum = np.cumsum(stats.pmf)
 
         def quantile(q):
@@ -160,8 +158,8 @@ def _cmd_analyze(args) -> int:
             "targets": list(graph.targets),
             "distance": distance,
         },
-        "expected_time": expected,
-        "resistance": resistance,
+        "expected_time": report.expected,
+        "resistance": report.resistance,
         "pmf": pmf_summary,
         "bounds": report.to_dict(),
     }

@@ -142,15 +142,14 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
             r_mix = (1.0
                      + math.fsum(c.alpha * c.backward[0] for c in dec.components)
                      + float(dec.dead_matrix[:, oi].sum()))
-            arrays = flows.array_representation(dec)
-            s_arr = arrays.survival_value()
-            g_arr = arrays.gamma_value()
+            s_arr = dec.survival_value()
+            g_arr = dec.gamma_value()
             gap("convex_gap", "convex_combination",
                 max(abs(s_mix - s_exact), _relative_gap(r_mix, r_exact),
                     _relative_gap(g_arr, g_exact)), 1e-9)
             gap("array_gap", "array_identity",
                 max(abs(s_arr - s_exact), _relative_gap(g_arr, g_exact)), 1e-9)
-            if r_exact > arrays.visits_upper_bound() * (1.0 + 1e-12):
+            if r_exact > dec.visits_upper_bound() * (1.0 + 1e-12):
                 fail("visits_upper_bound", r_exact)
 
             gam, chain = flows.gamma_chain_bound(work, beta)

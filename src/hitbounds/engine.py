@@ -150,10 +150,11 @@ def _solve(graph: WeightedGraph, betas, idx, rhs, transpose=False):
 def green_rows(graph: WeightedGraph, betas) -> list:
     """Read-only rows G_beta(origin, comp), one per beta in the sequence betas.
 
-    comp is the origin's component in canonical order (green_row returns
-    it).  Betas the walk record lacks are solved together in one _solve
-    and kept.  Requires each beta in (0, 1]; at beta = 1 the component must
-    contain a target (otherwise every entry would be infinite).
+    comp is graph.component_of(graph.origin), the origin's component in
+    canonical order.  Betas the walk record lacks are solved together in
+    one _solve and kept.  Requires each beta in (0, 1]; at beta = 1 the
+    component must contain a target (otherwise every entry would be
+    infinite).
     """
     for beta in betas:
         _check_beta(beta, allow_one=True)
@@ -169,15 +170,6 @@ def green_rows(graph: WeightedGraph, betas) -> list:
     return [kz.rows[beta] for beta in betas]
 
 
-def green_row(graph: WeightedGraph, beta: float):
-    """G_beta(origin, x) for x in the origin's component.
-
-    Returns (component canonical indices, read-only values):
-    green_rows(graph, (beta,))[0] beside the component as a list.
-    """
-    return _kernel(graph).comp.tolist(), green_rows(graph, (beta,))[0]
-
-
 def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
     """Full matrix G_beta = (I - beta K_z)^{-1} in canonical order.
 
@@ -188,7 +180,7 @@ def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
     if graph.n > DENSE_VERTEX_LIMIT:
         raise GraphError(
             f"green_kernel returns a dense matrix (<= {DENSE_VERTEX_LIMIT} "
-            "vertices); use green_row"
+            "vertices); use green_rows"
         )
     out = np.zeros((graph.n, graph.n))
     remaining = set(range(graph.n))
@@ -217,7 +209,9 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
     """E[T], the expected number of steps from the origin to the target set.
 
     Solves (I - K_z) h = 1 on the origin's component minus the targets.
-    Returns math.inf when the targets are unreachable.
+    Returns math.inf when the targets are unreachable.  A walk needs at
+    least dist(o, z) steps, so a solve below that, beyond a relative 1e-9
+    of roundoff, has lost the small weights and raises GraphError.
     """
     kz = _kernel(graph)
     if kz.expected is None:
@@ -226,6 +220,10 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
             alive = kz.comp[~kz.at_target]
             h = _solve(graph, (1.0,), alive, np.ones(len(alive)))[0]
             expected = float(h[np.searchsorted(alive, graph.origin_index)])
+            d = graph.distance(graph.origin)
+            if not expected >= d * (1.0 - 1e-9):
+                raise GraphError(f"expected hitting time {expected:.6g} below the "
+                                 f"distance {d}: the solve lost precision")
         kz.expected = expected  # kept only once the solve has succeeded
     return kz.expected
 
@@ -373,7 +371,6 @@ class WalkParameters:
     survival: float
     visits: float
     gamma: float
-    graph: WeightedGraph | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph, beta: float) -> "WalkParameters":
@@ -392,8 +389,7 @@ class WalkParameters:
             hit = vals[kz.targets]
             s = 0.0 + float(np.add.accumulate(hit)[-1]) if len(hit) else 0.0
             r = float(vals[kz.origin])
-        p = cls(beta=float(beta), survival=s, visits=r,
-                gamma=_gamma(graph, r), graph=graph)
+        p = cls(beta=float(beta), survival=s, visits=r, gamma=_gamma(graph, r))
         p.validate()
         return p
 
@@ -402,10 +398,6 @@ class WalkParameters:
             raise GraphError(f"survival {self.survival} outside [0, 1]")
         if self.visits < 1.0 - 1e-9:
             raise GraphError(f"visit count {self.visits} below 1")
-        expect = math.inf if self.graph is None else _gamma(self.graph, self.visits)
-        if (math.isfinite(expect)
-                and abs(self.gamma - expect) > 1e-12 * max(1.0, expect)):
-            raise GraphError("gamma inconsistent with visits * w_z / w_o")
 
 
 def _gamma(graph: WeightedGraph, visits: float) -> float:

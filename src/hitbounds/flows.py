@@ -22,9 +22,10 @@ is the natural per-edge progress variable, with h(s) = s (1 - s beta) /
 decompose peels the flow into weighted self-avoiding origin-to-target path
 flows plus a dead-end remainder that never reaches the target.  Each path
 component is determined by its backtracking ratios; its survival and Gamma
-factor over edges through s and h(s), which gives the array representation
-used for extremal reasoning: survival is exactly beta * sum of alpha *
-prod(s), and R is bounded by 2/(1-beta^2) * (1 - beta * sum of alpha * s_first).
+factor over edges through s and h(s), which gives the FlowDecomposition
+identities used for extremal reasoning: survival is exactly beta * sum of
+alpha * prod(s), and R is bounded by 2/(1-beta^2) * (1 - beta * sum of
+alpha * s_first).
 """
 
 from __future__ import annotations
@@ -106,10 +107,9 @@ def build_flow(graph: WeightedGraph, beta: float) -> LossFlow:
     """
     _check_beta(beta)
     work = graph.normalized()
-    comp, vals = engine.green_row(work, beta)
-    green = np.zeros(work.n)
-    green[comp] = vals
     kz = engine._kernel(work)
+    green = np.zeros(work.n)
+    green[kz.comp] = engine.green_rows(work, (beta,))[0]
     live = green[kz.row] != 0.0
     row, col = kz.row[live], kz.col[live]
     m = np.zeros((work.n, work.n))
@@ -195,7 +195,8 @@ def flow_parameters(flow: LossFlow) -> engine.WalkParameters:
     S = flow into the target, R = 1 + flow into the origin, and Gamma sums
     theta-path products (the potential) times terminal flows: path
     independence of the theta products makes any origin-to-x support path
-    usable.
+    usable.  A flow built from a graph must also give a valid (S, R) and
+    Gamma = R w_z / w_o, to a relative 1e-12; otherwise GraphError.
     """
     m = flow.matrix
     zi = flow.target_index
@@ -209,10 +210,12 @@ def flow_parameters(flow: LossFlow) -> engine.WalkParameters:
                 "gamma undefined: no two-way support path from the origin "
                 f"to terminal vertex {flow.labels[i]!r}")
         gam += pot[i] * float(m[i, zi]) / flow.beta
-    params = engine.WalkParameters(beta=flow.beta, survival=s, visits=r,
-                                   gamma=gam, graph=flow.graph)
+    params = engine.WalkParameters(beta=flow.beta, survival=s, visits=r, gamma=gam)
     if flow.graph is not None:
         params.validate()
+        expect = engine._gamma(flow.graph, r)
+        if math.isfinite(expect) and abs(gam - expect) > 1e-12 * max(1.0, expect):
+            raise GraphError("gamma inconsistent with visits * w_z / w_o")
     return params
 
 
@@ -335,6 +338,46 @@ class FlowDecomposition:
     def dead_alpha(self) -> float:
         """Weight of the dead-end remainder: 1 - total_alpha, at least 0."""
         return max(0.0, 1.0 - self.total_alpha)
+
+    def interior_s(self) -> list:
+        """Each component's s values on its interior edges, in component order.
+
+        s = (beta - theta) / (1 - beta theta) per edge; the terminal edge is
+        left out, as its s is always beta for a feasible path flow.
+        """
+        beta = self.flow.beta
+        return [tuple((beta - th) / (1.0 - beta * th) for th in c.thetas[:-1])
+                for c in self.components]
+
+    def survival_value(self) -> float:
+        """Exact identity: S_beta = beta * sum of alpha * prod(s)."""
+        return self.flow.beta * math.fsum(
+            c.alpha * math.prod(s, start=1.0)
+            for c, s in zip(self.components, self.interior_s()))
+
+    def visits_upper_bound(self) -> float:
+        """2/(1-beta^2) * (1 - beta * sum of alpha * s_first), which dominates R_beta.
+
+        The factor 2 absorbs the dead-end contribution; a single-edge
+        component's first s is its terminal beta.
+        """
+        beta = self.flow.beta
+        mix = math.fsum(c.alpha * (s[0] if s else beta)
+                        for c, s in zip(self.components, self.interior_s()))
+        return 2.0 / (1.0 - beta ** 2) * (1.0 - beta * mix)
+
+    def gamma_value(self) -> float:
+        """Whole-flow Gamma: sum of alpha * prod h(s) over path components.
+
+        prod h(s) is the Gamma of one path flow taken on its own.  A component
+        with some s >= beta (a degenerate edge, which no graph flow has) adds
+        alpha * inf.
+        """
+        beta = self.flow.beta
+        return float(math.fsum(
+            c.alpha * math.inf if any(x >= beta for x in s)
+            else c.alpha * math.prod((h_transform(x, beta) for x in s), start=1.0)
+            for c, s in zip(self.components, self.interior_s())))
 
     def reconstruct(self) -> np.ndarray:
         m = self.dead_matrix.copy()
@@ -461,71 +504,6 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
     else:
         raise DecompositionError("decomposition failed to terminate")
     return FlowDecomposition(flow=flow, components=components, dead_matrix=w)
-
-
-# -- array representation --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArrayRow:
-    """(alpha, interior s values, path length) for one path component.
-
-    The terminal edge is excluded from the s array: its value is always
-    beta for a feasible path flow.
-    """
-
-    alpha: float
-    s: tuple
-    length: int
-
-
-@dataclass
-class ArrayRepresentation:
-    """The flow reduced to per-path progress arrays.
-
-    Exact identity: survival_value() reproduces S_beta.  Bound:
-    visits_upper_bound() dominates R_beta (the factor 2 absorbs the
-    dead-end contribution).
-    """
-
-    beta: float
-    rows: tuple
-
-    def survival_value(self) -> float:
-        return self.beta * math.fsum(
-            row.alpha * math.prod(row.s, start=1.0) for row in self.rows)
-
-    def first_edge_s(self, row: ArrayRow) -> float:
-        return row.s[0] if row.s else self.beta
-
-    def visits_upper_bound(self) -> float:
-        mix = math.fsum(row.alpha * self.first_edge_s(row) for row in self.rows)
-        return 2.0 / (1.0 - self.beta ** 2) * (1.0 - self.beta * mix)
-
-    def gamma_value(self) -> float:
-        """Whole-flow Gamma: sum of alpha * prod h(s) over path components.
-
-        prod h(s) is the Gamma of one path flow taken on its own.  A row with
-        some s >= beta (a degenerate edge, which no graph flow has) adds
-        alpha * inf.
-        """
-        return float(math.fsum(
-            row.alpha * math.inf if any(s >= self.beta for s in row.s)
-            else row.alpha * math.prod(
-                (h_transform(s, self.beta) for s in row.s), start=1.0)
-            for row in self.rows))
-
-
-def array_representation(source) -> ArrayRepresentation:
-    """Arrays from a LossFlow or an existing FlowDecomposition."""
-    decomposition = decompose(source) if isinstance(source, LossFlow) else source
-    beta = decomposition.flow.beta
-    rows = []
-    for comp in decomposition.components:
-        interior = tuple(
-            (beta - th) / (1.0 - beta * th) for th in comp.thetas[:-1])
-        rows.append(ArrayRow(alpha=comp.alpha, s=interior, length=comp.length))
-    return ArrayRepresentation(beta=beta, rows=tuple(rows))
 
 
 def gamma_chain_bound(graph: WeightedGraph, beta: float) -> tuple:

@@ -155,6 +155,8 @@ def test_analyze_horizon_beyond_cap_exits_one(tmp_path, capsys):
 def test_analyze_reports_falsification(path5, tmp_path, monkeypatch):
     class Failing:
         all_pass = False
+        expected = 16.0
+        resistance = 5.0
 
         def to_dict(self):
             return {"all_pass": False}
@@ -162,6 +164,21 @@ def test_analyze_reports_falsification(path5, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.bounds, "check_theorem1",
                         lambda *a, **k: Failing())
     assert run(["analyze", str(path5), "--out", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("index", [35, 52])
+def test_analyze_prints_each_number_once(index, tmp_path):
+    # not normal graphs: before normalizing, E[T] and the resistance differ
+    # from the report's in their last bits
+    graph = corpus.corpus_graph(index)
+    assert graph.normalized() is not graph
+    path = tmp_path / "g.json"
+    write_graph_file(graph, path)
+    out = tmp_path / "r.json"
+    assert run(["analyze", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["expected_time"] == doc["bounds"]["expected"]
+    assert doc["resistance"] == doc["bounds"]["resistance"]
 
 
 def test_decompose(path5, tmp_path):

@@ -94,7 +94,7 @@ def test_flow_report_flags_decomposition_laws(graphs, honest, monkeypatch):
 
 
 def test_flow_report_flags_array_laws(graphs, honest, monkeypatch):
-    monkeypatch.setattr(flows.ArrayRepresentation, "gamma_value",
+    monkeypatch.setattr(flows.FlowDecomposition, "gamma_value",
                         lambda self: 1e6)
     report = corpus.flow_report(graphs, betas=BETAS)
     entries = []
@@ -108,7 +108,7 @@ def test_flow_report_flags_array_laws(graphs, honest, monkeypatch):
 
 
 def test_flow_report_flags_visits_upper_bound(graphs, honest, monkeypatch):
-    monkeypatch.setattr(flows.ArrayRepresentation, "visits_upper_bound",
+    monkeypatch.setattr(flows.FlowDecomposition, "visits_upper_bound",
                         lambda self: 0.0)
     report = corpus.flow_report(graphs, betas=BETAS)
     entries = [_entry(i, beta, "visits_upper_bound",

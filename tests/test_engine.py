@@ -136,7 +136,7 @@ def test_beta_validation():
 def test_green_row_matches_kernel():
     g = random_graph(seed=13)
     beta = 0.7
-    comp, vals = engine.green_row(g, beta)
+    comp, vals = g.component_of(g.origin), engine.green_rows(g, (beta,))[0]
     full = engine.green_kernel(g, beta)
     for k, i in enumerate(comp):
         assert vals[k] == pytest.approx(full[g.origin_index, i], abs=1e-13)
@@ -299,11 +299,11 @@ def test_walk_parameters_take_one_solve(count_calls):
 def test_walk_record_solves_each_system_once(count_calls):
     solves = count_calls(engine, "_solve")
     g = random_graph(seed=3)
-    comp, row = engine.green_row(g, 0.5)
+    row = engine.green_rows(g, (0.5,))[0]
     assert not row.flags.writeable
     with pytest.raises(ValueError):
         row[0] = 0.0
-    assert engine.green_row(g, 0.5)[1] is row
+    assert engine.green_rows(g, (0.5,))[0] is row
     for stat in (engine.survival_transform, engine.origin_visits, engine.gamma):
         stat(g, 0.5)
     engine.expected_hitting_time(g)
@@ -372,7 +372,7 @@ def test_green_rows_repeated_beta(count_calls):
     assert rows[0] is rows[2] and rows[1] is rows[3]
     assert [list(betas) for _, betas, *_ in solves] == [[0.5, 0.3]]
     assert_rows_identical(g, (0.5, 0.3, 0.5))
-    assert engine.green_row(g, 0.3)[1] is rows[1]
+    assert engine.green_rows(g, (0.3,))[0] is rows[1]
     assert len(solves) == 1
 
 
@@ -446,7 +446,7 @@ def test_expected_matches_direct_solve(seed, beta):
     assert engine.expected_hitting_time(g) == pytest.approx(
         direct_expected(g), rel=1e-9)
     # Green row sums against the direct fundamental matrix at beta < 1
-    comp, vals = engine.green_row(g, beta)
+    comp, vals = g.component_of(g.origin), engine.green_rows(g, (beta,))[0]
     alive = [i for i in comp if i not in g.target_indices]
     pos = {i: k for k, i in enumerate(alive)}
     a = np.eye(len(alive))
@@ -538,6 +538,15 @@ def test_singular_kernel_raises_graph_error(n):
     assert kz.expected is None and kz.rows == {}
 
 
+def test_expected_time_below_distance_raises():
+    # LU loses the small weights of this path: the solve gives E[T] = -1.378e16
+    graph = _path_with_weights(tuple(10.0 ** (-3 * i) for i in range(10)))
+    for _ in range(2):  # a failed guard leaves nothing in the walk record
+        with pytest.raises(GraphError, match="below the distance 10"):
+            engine.expected_hitting_time(graph)
+    assert engine._kernel(graph).expected is None
+
+
 @pytest.mark.xfail(raises=GraphError, strict=True,
                    reason="ROADMAP item 1: the LU solve loses the small weights")
 @pytest.mark.parametrize("weights", [
@@ -566,5 +575,5 @@ def test_green_kernel_targetless_component_is_infinite_at_one():
 def test_green_kernel_refuses_graphs_above_dense_limit():
     graph = unit_path(engine.DENSE_VERTEX_LIMIT)  # one vertex more than the limit
     assert graph.n == engine.DENSE_VERTEX_LIMIT + 1
-    with pytest.raises(GraphError, match="use green_row"):
+    with pytest.raises(GraphError, match="use green_rows"):
         engine.green_kernel(graph, 0.5)

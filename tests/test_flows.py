@@ -10,7 +10,6 @@ from hitbounds import corpus, engine, flows
 from hitbounds.flows import (
     FlowError,
     LossFlow,
-    array_representation,
     build_flow,
     cycle_reversibility_gap,
     decompose,
@@ -23,7 +22,7 @@ from hitbounds.flows import (
     theta,
 )
 from hitbounds.generators import random_graph, unit_path
-from hitbounds.graph import WeightedGraph
+from hitbounds.graph import GraphError, WeightedGraph
 
 
 def test_build_flow_two_path_hand_values():
@@ -36,6 +35,7 @@ def test_build_flow_two_path_hand_values():
     assert s_value(fl, 0, 1) == pytest.approx(2 / 7, rel=1e-14)
     assert theta(fl, 1, 0) == pytest.approx(1 / 4, rel=1e-14)
     assert theta(fl, 2, 1) == 0.0
+    assert theta(fl, 1, 2) == math.inf  # nothing flows back out of the target
 
 
 def test_build_flow_rejects_bad_beta():
@@ -63,8 +63,8 @@ def test_theta_green_identity(corpus_sample):
     for g in corpus_sample[:12]:
         fl = build_flow(g, 0.6)
         work = fl.graph
-        comp, vals = engine.green_row(work, 0.6)
-        green = {i: v for i, v in zip(comp, vals)}
+        vals = engine.green_rows(work, (0.6,))[0]
+        green = dict(zip(work.component_of(work.origin), vals))
         m = fl.matrix
         for i, j in zip(*np.nonzero(m)):
             i, j = int(i), int(j)
@@ -88,6 +88,42 @@ def test_flow_parameters_match_engine(corpus_sample):
                 engine.origin_visits(work, beta), rel=1e-10)
             assert params.gamma == pytest.approx(
                 engine.gamma(work, beta), rel=1e-10)
+
+
+def _inflated_target_inflow():
+    """A graph flow whose target inflow, and so its Gamma, is 1% too large."""
+    fl = build_flow(unit_path(3), 0.5)
+    m = fl.matrix.copy()
+    m[:, fl.target_index] *= 1.01
+    return LossFlow(beta=0.5, labels=fl.labels, origin=fl.origin,
+                    target=fl.target, matrix=m, graph=fl.graph)
+
+
+def _one_way_flow():
+    """0 -> 1 -> 2 with no flow back to 0: no potential reaches vertex 1."""
+    m = np.zeros((3, 3))
+    m[0, 1], m[1, 2] = 0.5, 0.25
+    return LossFlow(beta=0.5, labels=(0, 1, 2), origin=0, target=2, matrix=m)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: LossFlow(0.5, (0, 1), 0, 1, np.zeros((3, 3))), FlowError,
+     "must be 2x2"),
+    (lambda: LossFlow(0.5, (0, 1), 0, 2, np.zeros((2, 2))), FlowError,
+     "among the labels"),
+    (lambda: LossFlow(0.5, (0, 1), 1, 1, np.zeros((2, 2))), FlowError,
+     "must differ"),
+    (lambda: theta(path_flow([0, 1, 2], [0.25], 0.5), 0, 2), FlowError,
+     "no flow on edge"),
+    (lambda: flow_parameters(_one_way_flow()), FlowError, "gamma undefined"),
+    (lambda: flow_parameters(_inflated_target_inflow()), GraphError,
+     "gamma inconsistent"),
+    (lambda: path_flow([0], [], 0.5), FlowError, "at least one edge"),
+], ids=["shape", "labels", "origin", "theta", "gamma_undefined",
+        "gamma_inconsistent", "path_one_vertex"])
+def test_flow_rejects_invalid_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_path_flow_closed_forms():
@@ -258,34 +294,32 @@ def test_array_identities_on_corpus(corpus_sample):
     for g in corpus_sample[:20]:
         for beta in (0.35, 0.85):
             fl = build_flow(g, beta)
-            arrays = array_representation(fl)
+            dec = decompose(fl)
             work = fl.graph
             s_exact = engine.survival_transform(work, beta)
-            assert arrays.survival_value() == pytest.approx(
+            assert dec.survival_value() == pytest.approx(
                 s_exact, abs=1e-12, rel=1e-9)
-            assert arrays.gamma_value() == pytest.approx(
+            assert dec.gamma_value() == pytest.approx(
                 engine.gamma(work, beta), rel=1e-9)
             r_exact = engine.origin_visits(work, beta)
-            assert r_exact <= arrays.visits_upper_bound() * (1.0 + 1e-12)
+            assert r_exact <= dec.visits_upper_bound() * (1.0 + 1e-12)
 
 
 def test_array_rows_exclude_terminal_edge():
-    fl = build_flow(unit_path(3), 0.5)
-    arrays = array_representation(fl)
-    assert len(arrays.rows) == 1
-    row = arrays.rows[0]
-    assert row.length == 3
-    assert len(row.s) == 2  # three edges, terminal excluded
-    assert all(0.0 <= s < 0.5 for s in row.s)
+    dec = decompose(build_flow(unit_path(3), 0.5))
+    assert len(dec.components) == 1
+    assert dec.components[0].length == 3
+    (s,) = dec.interior_s()
+    assert len(s) == 2  # three edges, terminal excluded
+    assert all(0.0 <= x < 0.5 for x in s)
 
 
 def test_array_single_edge_first_s_is_beta():
-    fl = build_flow(unit_path(1), 0.4)
-    arrays = array_representation(fl)
-    assert arrays.rows[0].s == ()
-    assert arrays.first_edge_s(arrays.rows[0]) == 0.4
-    # R = 1 for the single-edge walk; the bound gives exactly 2
-    assert arrays.visits_upper_bound() == pytest.approx(2.0, rel=1e-12)
+    dec = decompose(build_flow(unit_path(1), 0.4))
+    assert dec.interior_s() == [()]
+    # the first s is the terminal beta = 0.4: R = 1 for the single-edge
+    # walk, and the bound gives exactly 2
+    assert dec.visits_upper_bound() == pytest.approx(2.0, rel=1e-12)
     assert engine.origin_visits(unit_path(1), 0.4) == 1.0
 
 

@@ -81,6 +81,10 @@ def test_invalid_inputs():
         WeightedGraph([(True, 1, 1.0)], origin=True, targets=[1])
     with pytest.raises(GraphError):
         WeightedGraph([((1,), 2, 1.0)], origin=(1,), targets=[2])
+    with pytest.raises(GraphError, match=r"\(u, v, weight\) triple"):
+        WeightedGraph([(0, 1)], origin=0, targets=[1])
+    with pytest.raises(GraphError, match="must be a number"):
+        WeightedGraph([(0, 1, "1.0")], origin=0, targets=[1])
 
 
 def test_mixed_label_ordering():

@@ -296,6 +296,13 @@ def test_zero_weight_interior_vertex_rejected():
         simulate_hitting(g, SimConfig(seed=0, replications=1, max_steps=5))
 
 
+def test_escape_ratios_reject_disconnected_graph():
+    g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)], origin=0, targets=[1])
+    cfg = SimConfig(seed=0, replications=1, max_steps=5, record_steps=(5,))
+    with pytest.raises(GraphError, match="connected graph"):
+        escape_ratios(g, cfg)
+
+
 def test_mean_and_cdf_match_exact_law():
     g = unit_path(3)
     stats = engine.hitting_time_pmf(g)

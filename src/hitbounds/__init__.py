@@ -47,6 +47,7 @@ from .engine import (
     hitting_time_pmf,
     origin_visits,
     survival_transform,
+    survival_transforms,
 )
 from .flows import (
     FlowDecomposition,

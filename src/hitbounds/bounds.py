@@ -170,7 +170,7 @@ def default_beta_grid():
 # -- verification report ---------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundCheck:
     """One bound-versus-exact comparison.
 
@@ -195,11 +195,7 @@ class BoundCheck:
     vacuous: bool = False
 
     def to_dict(self):
-        return {
-            "kind": self.kind, "source": self.source, "g": self.g,
-            "param": self.param, "bound": self.bound, "observed": self.observed,
-            "margin": self.margin, "passed": self.passed, "vacuous": self.vacuous,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass
@@ -343,8 +339,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                     "underflowed to 0, check vacuous")
             _check(report, "tail", source, g, float(a), bound, observed, underflow)
 
-    for beta in betas:
-        observed = engine.survival_transform(work, beta)
+    for beta, observed in zip(betas, engine.survival_transforms(work, betas)):
         underflow = observed == 0.0  # the target is reachable, so S_beta > 0
         if underflow:
             report.notes.append(f"transform at beta={beta:.6g}: S_beta underflowed "

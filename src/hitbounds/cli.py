@@ -22,6 +22,7 @@ Files are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -310,6 +311,7 @@ def _int_list(text: str):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+@functools.cache  # built once per process: it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hitbounds",
                      description="Exact hitting-time statistics and sharp "

@@ -466,7 +466,10 @@ def decompose(flow: LossFlow) -> FlowDecomposition:
     for _ in range(edge_pairs + 1):
         admissible = (w > 0.0) & (w.T < beta * w * (1.0 - _ADMISSIBLE_SLACK))
         # hops to the target along admissible edges, searched backwards
-        dist = _hops([np.flatnonzero(col) for col in admissible.T], (zi,))
+        back = [[] for _ in w]
+        for j, i in np.argwhere(admissible.T).tolist():
+            back[j].append(i)
+        dist = _hops(back, (zi,))
         if dist[oi] < 0:
             break
         path = [oi]

@@ -246,10 +246,11 @@ def random_graph(seed, max_vertices: int = 12, extra_targets: int = 0,
                                      size=len(pairs)))
         edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
 
-        graph = WeightedGraph(edges, origin=0, targets=[n - 1])
-        all_dists = [_hops(graph.adjacency, (o,)) for o in range(n)]
-        if -1 in all_dists[0]:
-            continue  # chords plus tree should connect everything; be safe
+        nbrs = [[] for _ in range(n)]
+        for u, v in pairs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        all_dists = [_hops(nbrs, (o,)) for o in range(n)]  # the tree connects all
         far_pairs = []
         for o in range(n):
             far_pairs.extend((o, v) for v in range(n)
@@ -263,8 +264,8 @@ def random_graph(seed, max_vertices: int = 12, extra_targets: int = 0,
                     if v not in (o, z) and all_dists[o][v] >= _MIN_DISTANCE]
             rng.shuffle(pool)
             targets.extend(pool[:extra_targets])
-        return graph.replace(
-            origin=o, targets=targets,
+        return WeightedGraph(
+            edges, origin=o, targets=targets,
             metadata={"generator": "random_graph",
                       "seed": list(seed) if isinstance(seed, (tuple, list)) else seed,
                       "max_vertices": max_vertices,

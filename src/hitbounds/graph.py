@@ -41,6 +41,12 @@ def _label_key(label):
     return (0, label, "") if isinstance(label, int) else (1, 0, label)
 
 
+def _keyed(keys, label):
+    """label's sort key, looked up in keys and validated and stored on first sight."""
+    key = keys.get(label) if type(label) in (int, str) else None  # True == 1
+    return key if key is not None else keys.setdefault(label, _label_key(label))
+
+
 def _hops(adjacency, sources, blocked=()):
     """Breadth-first hop distances from a source set; -1 marks the unreachable.
 
@@ -66,25 +72,23 @@ class WeightedGraph:
 
     Treat instances as frozen: all derived data (canonical indexing, vertex
     weights, adjacency, the target weight w_z) is computed once at
-    construction.  The normalized graph and the engine's walk record (the
-    killed kernel K_z, E[T] and the Green row per beta, each solved on first
-    use) are cached on the instance.
-    The hitting-time pmf is not kept (see hitbounds.engine).
+    construction, and replace shares it.  Kept on the instance on first use:
+    the hop distances to the targets (_target_hops), the contracted and the
+    normalized graph (_contracted, _normalized) and the engine's walk record
+    (_kz: K_z, E[T] and the Green row per beta).  No pmf is kept (see engine).
     """
 
     def __init__(self, edges, origin, targets, vertices=(), metadata=None):
-        labels = set()
+        keys = {}  # each label's sort key, computed once
         pair_weights = {}
         for item in edges:
             try:
                 u, v, w = item
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a (u, v, weight) triple, got {item!r}")
-            _label_key(u), _label_key(v)
+            ku, kv = _keyed(keys, u), _keyed(keys, v)
             w = self._check_weight(u, v, w)
-            labels.add(u)
-            labels.add(v)
-            key = (u, v) if _label_key(u) <= _label_key(v) else (v, u)
+            key = (u, v) if ku <= kv else (v, u)
             if key in pair_weights:
                 if pair_weights[key] != w:
                     raise GraphError(
@@ -94,26 +98,16 @@ class WeightedGraph:
             else:
                 pair_weights[key] = w
         for x in vertices:
-            _label_key(x)
-            labels.add(x)
-        _label_key(origin)
-        labels.add(origin)
+            _keyed(keys, x)
+        _keyed(keys, origin)
         targets = tuple(targets)
-        if not targets:
-            raise GraphError("target set must be non-empty")
         for t in targets:
-            _label_key(t)
-            labels.add(t)
-        if origin in targets:
-            raise GraphError(f"origin {origin!r} must not be a target")
+            _keyed(keys, t)
 
-        self.labels = tuple(sorted(labels, key=_label_key))
+        self.labels = tuple(sorted(keys, key=keys.__getitem__))
+        del keys  # a 20k-vertex graph's keys would outlive their use
         self.index = {x: i for i, x in enumerate(self.labels)}
         self.n = len(self.labels)
-        self.origin = origin
-        self.targets = tuple(sorted(set(targets), key=_label_key))
-        self.origin_index = self.index[origin]
-        self.target_indices = frozenset(self.index[t] for t in self.targets)
         self.metadata = dict(metadata) if metadata else {}
 
         adj = [dict() for _ in range(self.n)]
@@ -127,8 +121,20 @@ class WeightedGraph:
         self.vertex_weights = np.array(
             [math.fsum(nbrs.values()) for nbrs in adj], dtype=float
         )
-        self._set_weight = math.fsum(
-            self.vertex_weights[i] for i in sorted(self.target_indices))
+        self._mark(origin, targets)
+
+    def _mark(self, origin, targets):
+        """Set origin, targets and w_z on labels that are validated and indexed."""
+        if not targets:
+            raise GraphError("target set must be non-empty")
+        if origin in targets:
+            raise GraphError(f"origin {origin!r} must not be a target")
+        self.origin = origin
+        self.origin_index = self.index[origin]
+        tset = sorted({self.index[t] for t in targets})  # canonical order
+        self.targets = tuple(self.labels[i] for i in tset)
+        self.target_indices = frozenset(tset)
+        self._set_weight = math.fsum(self.vertex_weights[i] for i in tset)
 
     @staticmethod
     def _check_weight(u, v, w):
@@ -177,7 +183,9 @@ class WeightedGraph:
 
         Returns math.inf when unreachable.  Self-loops do not shorten paths.
         """
-        d = _hops(self.adjacency, self.target_indices)[self.index[x]]
+        if "_target_hops" not in self.__dict__:
+            self._target_hops = _hops(self.adjacency, self.target_indices)
+        d = self._target_hops[self.index[x]]
         return math.inf if d < 0 else d
 
     def component_of(self, x):
@@ -188,15 +196,23 @@ class WeightedGraph:
     # -- derived graphs ---------------------------------------------------
 
     def replace(self, origin=None, targets=None, metadata=None) -> "WeightedGraph":
-        """Copy with a different origin/target marking on the same weights."""
-        edges = [(self.labels[i], self.labels[j], w) for i, j, w in self.edge_list()]
-        return WeightedGraph(
-            edges,
-            self.origin if origin is None else origin,
-            self.targets if targets is None else targets,
-            vertices=self.labels,
-            metadata=self.metadata if metadata is None else metadata,
-        )
+        """Copy with a different origin/target marking on the same weights.
+
+        Shares the frozen labels, index, adjacency and vertex weights, but no
+        cached data.  An origin or target not in the graph raises GraphError.
+        """
+        origin = self.origin if origin is None else origin
+        targets = self.targets if targets is None else tuple(targets)
+        for x in (origin, *targets):
+            _label_key(x)  # True == 1, but True is no label
+            if x not in self.index:
+                raise GraphError(f"unknown vertex {x!r}")
+        new = object.__new__(WeightedGraph)
+        new.labels, new.index, new.n = self.labels, self.index, self.n
+        new.adjacency, new.vertex_weights = self.adjacency, self.vertex_weights
+        new.metadata = dict(self.metadata if metadata is None else metadata)
+        new._mark(origin, targets)
+        return new
 
     def contract_targets(self) -> "WeightedGraph":
         """Merge all targets into one vertex, dropping target-internal weight.
@@ -205,8 +221,15 @@ class WeightedGraph:
         hitting time of the target set from the origin has the same law before
         and after.  The merged vertex keeps the canonically smallest target
         label.  A graph with one target and no self-loop on it is returned
-        as is.
+        as is.  The result is kept on the graph (as True when it is the graph).
         """
+        work = self.__dict__.get("_contracted")
+        if work is None:
+            work = self._contract()
+            self._contracted = True if work is self else work
+        return self if work is True else work
+
+    def _contract(self) -> "WeightedGraph":
         merged = self.targets[0]
         tset = self.target_indices
         zi = self.index[merged]
@@ -214,16 +237,13 @@ class WeightedGraph:
             return self
         acc = {}
         for i, j, w in self.edge_list():
-            u_t, v_t = i in tset, j in tset
-            if u_t and v_t:
+            if i in tset and j in tset:
                 continue
-            u = merged if u_t else self.labels[i]
-            v = merged if v_t else self.labels[j]
-            key = (u, v) if _label_key(u) <= _label_key(v) else (v, u)
+            key = tuple(sorted(zi if k in tset else k for k in (i, j)))  # canonical
             acc[key] = acc.get(key, 0.0) + w
         keep = [x for x in self.labels if self.index[x] not in tset] + [merged]
         return WeightedGraph(
-            [(u, v, w) for (u, v), w in acc.items()],
+            [(self.labels[i], self.labels[j], w) for (i, j), w in acc.items()],
             self.origin,
             (merged,),
             vertices=keep,

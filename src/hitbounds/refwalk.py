@@ -30,6 +30,8 @@ class ParameterError(ValueError):
 
 def _as_int(value, name, minimum):
     """Validate an integer-valued argument (python or numpy int)."""
+    if type(value) is int and value >= minimum:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     value = int(value)
@@ -61,7 +63,7 @@ def rate_function(g: float, a: float) -> float:
     g = _check_drift(g)
     if g <= 1.0:
         raise ParameterError("rate function requires g > 1")
-    m = mean_advance_time(g)
+    m = (g + 1.0) / (g - 1.0)  # mean_advance_time(g), g already checked
     if not (1.0 <= a <= m):
         raise ParameterError(f"a={a} outside [1, {m}]")
     if a == 1.0:

@@ -219,7 +219,8 @@ def test_transform_check_has_no_absolute_floor(monkeypatch):
     graph = unit_path(6)
     for bound, observed, live in ((1e-305, 2e-305, True), (0.0, 1e-310, False)):
         monkeypatch.setattr(bounds, "transform_upper_bound", lambda *args: bound)
-        monkeypatch.setattr(engine, "survival_transform", lambda *args: observed)
+        monkeypatch.setattr(engine, "survival_transforms",
+                            lambda work, betas: [observed] * len(betas))
         report = bounds.check_theorem1(graph, a_grid=(), beta_grid=(0.5,))
         checks = [c for c in report.checks if c.kind == "transform"]
         assert [c.source for c in checks] == ["weight_ratio", "resistance"]

@@ -402,12 +402,37 @@ def test_stacked_solves_stay_within_one_dense_system(monkeypatch):
 
 
 def test_corpus_check_solve_count(count_calls):
-    # 2282 distinct (graph, system) pairs; every one is solved once, and a
-    # graph's beta grid goes to _solve in one call
+    # 2264 distinct (graph, system) pairs; every one is solved once, and a
+    # graph's beta grid goes to _solve in one call.  Each draw builds one
+    # graph, a graph keeps its contraction, and distance() runs one BFS
+    # per graph: 143 constructions and 1570 BFS runs in all
     solves = count_calls(engine, "_solve")
+    builds = count_calls(WeightedGraph, "__init__")
+    hops = [count_calls(module, "_hops")
+            for module in (hitbounds.graph, hitbounds.generators, hitbounds.flows)]
     corpus.run_all(count=100, seed=11, flow_count=20)
-    assert sum(len(betas) for _, betas, *_ in solves) == 2282
-    assert len(solves) == 382
+    assert sum(len(betas) for _, betas, *_ in solves) == 2264
+    assert len(solves) == 364
+    assert len(builds) == 143
+    assert sum(map(len, hops)) == 1570
+
+
+def test_survival_grid_matches_single_reads():
+    # bit for bit, sign of zero included, against solves of one beta each
+    betas = bounds.default_beta_grid() + (1.0,)
+
+    def bits(values):
+        return [(v, math.copysign(1.0, v)) for v in values]
+
+    for i in range(30):
+        grid = engine.survival_transforms(corpus.corpus_graph(i).normalized(), betas)
+        g = corpus.corpus_graph(i).normalized()
+        assert bits(grid) == bits([engine.survival_transform(g, b) for b in betas])
+        assert engine.survival_transforms(g, ()) == []
+    lone = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)], origin=0, targets=[3])
+    assert bits(engine.survival_transforms(lone, betas)) == bits([0.0] * len(betas))
+    with pytest.raises(GraphError):
+        engine.survival_transforms(lone, (1.5,))
 
 
 def test_zero_weight_origin_gamma_is_infinite():

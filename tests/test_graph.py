@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitbounds import montecarlo
+from hitbounds import engine, montecarlo
 from hitbounds.corpus import corpus_graph
 from hitbounds.generators import tree_line
 from hitbounds.graph import (
@@ -113,6 +113,37 @@ def test_replace():
     assert h.origin == 3 and h.targets == (0,)
     assert h.weight(0, 1) == g.weight(0, 1)
     assert g.origin == 0  # original untouched
+
+
+def test_replace_rejects_unknown_labels_and_origin_among_targets():
+    g = square()
+    for origin, targets in ((9, [0]), (3, [9]), (3, [True]), (3, [0, 3])):
+        with pytest.raises(GraphError):
+            g.replace(origin=origin, targets=targets)
+    with pytest.raises(GraphError, match="non-empty"):
+        g.replace(targets=[])
+    assert g.replace(targets=[3, 1, 3]).targets == (1, 3)
+
+
+def test_replaced_graph_starts_its_own_walk_record():
+    g = corpus_graph(7)  # two targets, so the contraction is a new graph
+    assert len(g.targets) == 2
+    g.distance(g.origin)
+    g.contract_targets()
+    engine.expected_hitting_time(g.normalized())
+    engine.expected_hitting_time(g)
+    cached = ("_kz", "_normalized", "_contracted", "_target_hops")
+    assert all(name in g.__dict__ for name in cached)
+    h = g.replace(origin=g.targets[0], targets=[g.origin])
+    assert not any(name in h.__dict__ for name in cached)
+    assert h.adjacency is g.adjacency and h.labels is g.labels
+    assert h.set_weight() == g.vertex_weight(g.origin)
+    assert g.distance(g.origin) >= 3 and h.distance(g.origin) == 0  # own hop list
+    fresh = WeightedGraph([(g.labels[i], g.labels[j], w) for i, j, w in g.edge_list()],
+                          h.origin, h.targets, metadata=g.metadata)
+    assert serialize(h) == serialize(fresh)
+    assert engine.expected_hitting_time(h) == engine.expected_hitting_time(fresh)
+    assert h._kz is not g._kz
 
 
 def test_contract_targets_merges_and_sums():
@@ -326,10 +357,16 @@ def test_normal_graph_freed_without_cycle_collector():
     gc.disable()
     try:
         g = corpus_graph(0).normalized()
-        assert g.normalized() is g
+        assert g.normalized() is g and g.contract_targets() is g
         ref = weakref.ref(g)
         del g
         assert ref() is None
+        g = corpus_graph(7)  # its contraction is a graph of its own
+        work = g.contract_targets()
+        assert work is not g and g.contract_targets() is work
+        refs = [weakref.ref(g), weakref.ref(work)]
+        del g, work
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 

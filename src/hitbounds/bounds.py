@@ -181,7 +181,7 @@ class BoundCheck:
     relative _SLACK of roundoff, so a check within 1e-9 of its bound passes
     with a margin just below 0; no absolute floor applies.  Vacuous checks
     (the trivial check, degenerate drift, underflowed S_beta or tail
-    probability, an upper bound below sys.float_info.min) pass.
+    probability, an upper bound below sys.float_info.min) pass with margin inf.
     """
 
     kind: str
@@ -238,22 +238,22 @@ def _check(report, kind, source, g, param, bound, observed, vacuous=False):
     bound.  Vacuity rule: a vacuous check passes, and an upper bound below
     the smallest normal float has lost its relative precision, so a live
     check against it becomes vacuous, with a note.  margin is the relative
-    room to spare; a vacuous mean check has none to measure, so inf.
+    room to spare; a vacuous check has none to measure, so inf.
     """
-    if kind == "mean":
-        margin = math.inf if vacuous else observed / bound - 1.0
-        inside = observed >= bound * (1.0 - _SLACK)
+    if kind != "mean" and bound < sys.float_info.min and not vacuous:
+        vacuous = True
+        name = "a" if kind == "tail" else "beta"
+        report.notes.append(f"{source}: {kind} bound at {name}={param:.6g} is "
+                            f"{bound:.3g}, below the normal range, check vacuous")
+    if vacuous:
+        margin, inside = math.inf, True
+    elif kind == "mean":
+        margin, inside = observed / bound - 1.0, observed >= bound * (1.0 - _SLACK)
     else:
-        if bound < sys.float_info.min and not vacuous:
-            vacuous = True
-            name = "a" if kind == "tail" else "beta"
-            report.notes.append(f"{source}: {kind} bound at {name}={param:.6g} is "
-                                f"{bound:.3g}, below the normal range, check vacuous")
-        margin = (bound - observed) / bound if bound > 0 else math.inf
-        inside = observed <= bound * (1.0 + _SLACK)
+        margin, inside = (bound - observed) / bound, observed <= bound * (1.0 + _SLACK)
     report.checks.append(BoundCheck(
         kind=kind, source=source, g=g, param=param, bound=bound,
-        observed=observed, margin=margin, passed=vacuous or inside,
+        observed=observed, margin=margin, passed=inside,
         vacuous=vacuous))
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -144,6 +145,16 @@ def test_check_underflowed_transform_is_vacuous():
     assert all(not c.vacuous for c in report.checks
                if c.kind == "transform" and c.observed > 0.0)
     assert sum("beta=0.05: S_beta underflowed" in note for note in report.notes) == 1
+
+
+def test_every_vacuous_check_has_infinite_margin():
+    # two transform bounds fall below the normal range while S_beta does not
+    # underflow; those checks turn vacuous too, and keep no finite margin
+    report = bounds.check_theorem1(fast_path(500, 1.01))
+    vacuous = [c for c in report.checks if c.vacuous]
+    assert len(vacuous) == 18
+    assert sum(0.0 < c.observed and c.bound < sys.float_info.min for c in vacuous) == 2
+    assert all(c.margin == math.inf for c in vacuous)
 
 
 def test_check_underflowed_tail_is_vacuous():

@@ -47,7 +47,7 @@ from .engine import (
     hitting_time_pmf,
     origin_visits,
     survival_transform,
-    survival_transforms,
+    walk_parameters,
 )
 from .flows import (
     FlowDecomposition,

@@ -275,8 +275,8 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
     reachable = math.isfinite(d) and math.isfinite(expected)
     if reachable:
         betas = tuple(beta_grid) if beta_grid is not None else default_beta_grid()
-        if d >= 2:  # every Green row the checks read, resistance's too, in one solve
-            engine.green_rows(work, (1.0, *betas))
+        # every parameter the checks read, resistance's too, in one solve
+        params = engine.walk_parameters(work, (1.0, *betas) if d >= 2 else (1.0,))
         report.ratio = ratio = work.set_weight() / work.vertex_weight(work.origin)
         report.resistance = engine.effective_resistance(work)
         report.expected = expected
@@ -316,10 +316,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
     thresholds = sorted({math.floor(a * n + 1.0)
                          for grid in grids.values() for a in grid})
     horizon = int(min(max(thresholds, default=0), _TAIL_HORIZON_CAP))
-    cdf = None
-    if horizon > 0:
-        stats = engine.hitting_time_pmf(work, horizon=horizon)
-        cdf = stats.pmf.cumsum()
+    stats = engine.hitting_time_pmf(work, horizon=horizon) if horizon > 0 else None
 
     for source, g, excess in sources:
         for a in grids[source]:
@@ -330,7 +327,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                     f"(threshold {threshold} beyond horizon cap)")
                 continue
             bound = tail_upper_bound(n, g, a)
-            observed = float(cdf[int(threshold)]) if cdf is not None else 0.0
+            observed = stats.cdf_at(threshold) if stats is not None else 0.0
             # threshold >= d, so P(T <= threshold) >= P(T = d) > 0
             underflow = observed == 0.0
             if underflow:
@@ -339,7 +336,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                     "underflowed to 0, check vacuous")
             _check(report, "tail", source, g, float(a), bound, observed, underflow)
 
-    for beta, observed in zip(betas, engine.survival_transforms(work, betas)):
+    for beta, observed in zip(betas, (p.survival for p in params[1:])):
         underflow = observed == 0.0  # the target is reachable, so S_beta > 0
         if underflow:
             report.notes.append(f"transform at beta={beta:.6g}: S_beta underflowed "

@@ -136,10 +136,9 @@ def _cmd_analyze(args) -> int:
     distance = graph.distance(graph.origin)
     if math.isfinite(report.expected):  # the normalized graph the report read
         stats = engine.hitting_time_pmf(graph.normalized(), horizon=args.horizon)
-        cum = np.cumsum(stats.pmf)
 
         def quantile(q):
-            idx = int(np.searchsorted(cum, q))
+            idx = int(np.searchsorted(stats.cdf, q))
             return idx if idx <= stats.horizon else None
 
         pmf_summary = {

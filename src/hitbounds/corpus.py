@@ -108,8 +108,8 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
     for beta in betas:
         flows._check_beta(beta)
     for i, graph in enumerate(graphs):
-        engine.green_rows(graph.normalized(), betas)
-        for beta in betas:
+        grid = engine.walk_parameters(graph.normalized(), betas)
+        for beta, exact in zip(betas, grid):
             count += 1
             flow = flows.build_flow(graph, beta)
             work = flow.graph
@@ -119,7 +119,6 @@ def flow_report(graphs, betas=FLOW_BETAS) -> dict:
                 flows.cycle_reversibility_gap(flow), 1e-9)
 
             params = flows.flow_parameters(flow)
-            exact = engine.WalkParameters.from_graph(work, beta)
             s_exact, r_exact, g_exact = exact.survival, exact.visits, exact.gamma
             gap("parameter_gap", "flow_parameters",
                 max(_relative_gap(params.survival, s_exact),

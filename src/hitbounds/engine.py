@@ -7,7 +7,7 @@ beta in (0, 1], the resolvent-type kernel
     G_beta = sum_k (beta K_z)^k,   solved as (I - beta K_z) X = I,
 
 collects the expected discounted visit counts of the walk absorbed at the
-target set.  WalkParameters.from_graph reads off its row at the origin:
+target set.  walk_parameters reads off its row at the origin:
 
   * survival_transform: S_beta = E[beta^T], T the hitting time of the targets
     (equivalently the probability that a walk killed with rate 1-beta per
@@ -18,8 +18,8 @@ target set.  WalkParameters.from_graph reads off its row at the origin:
   * effective_resistance: r(o, z) = G_1(o, o) / w_o.
 
 Each graph keeps one walk record (_Kernel) on its frozen instance: K_z, E[T]
-and the Green row per beta, each solved once, on first use.  The pmf is not
-kept: through the block sizes its last bits depend on the horizon.
+and the Green row per beta with its S, R and Gamma, each solved once, on
+first use.  The pmf is not kept: its last bits depend on the horizon.
 Every system is solved directly: by dense LU (LAPACK) up to _DENSE_MAX
 unknowns, by sparse LU (SuperLU) above, where the per-call set-up of the
 sparse solver no longer dominates.  green_rows takes every beta a caller
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -61,8 +62,9 @@ class _Kernel:
     K_z(row[k], col[k]) = p[k]; target rows hold none.  comp is the origin's
     component (sorted canonical indices), origin the origin's position in it,
     at_target marks its targets and targets holds their positions, so that
-    a cached read touches no more of a row than it needs.  expected is E[T]
-    and rows[beta] the read-only Green row G_beta(o, comp).
+    a cached read touches no more of a row than it needs.  expected is E[T],
+    rows[beta] the read-only Green row G_beta(o, comp) and params[beta] its
+    checked floats (S, R, Gamma); (0, inf, inf) at beta = 1 with no target.
     """
 
     row: np.ndarray
@@ -74,6 +76,7 @@ class _Kernel:
     targets: np.ndarray
     expected: float | None = None
     rows: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
 
 
 def _kernel(graph: WeightedGraph) -> _Kernel:
@@ -94,6 +97,8 @@ def _kernel(graph: WeightedGraph) -> _Kernel:
         kz = _Kernel(row, col, w / graph.vertex_weights[row], np.array(comp),
                      comp.index(graph.origin_index), at_target,
                      np.flatnonzero(at_target))
+        if not len(kz.targets):  # at beta = 1 every visit count is infinite
+            kz.params[1.0] = (0.0, math.inf, math.inf)
         graph._kz = kz
     return kz
 
@@ -152,9 +157,9 @@ def green_rows(graph: WeightedGraph, betas) -> list:
 
     comp is graph.component_of(graph.origin), the origin's component in
     canonical order.  Betas the walk record lacks are solved together in
-    one _solve and kept.  Requires each beta in (0, 1]; at beta = 1 the
-    component must contain a target (otherwise every entry would be
-    infinite).
+    one _solve; each row's S, R and Gamma are checked (0 <= S <= 1 and
+    R >= 1, to 1e-9) before row and numbers are kept.  Requires each beta
+    in (0, 1]; at beta = 1 the component must contain a target.
     """
     for beta in betas:
         _check_beta(beta, allow_one=True)
@@ -165,8 +170,17 @@ def green_rows(graph: WeightedGraph, betas) -> list:
             raise GraphError("targets unreachable from origin: visit counts infinite")
         rhs = (kz.comp == graph.origin_index).astype(float)
         vals = _solve(graph, todo, kz.comp, rhs, transpose=True)
+        # S: each row's target entries added left to right in one NumPy call,
+        # the bits of sum() over them (0.0 + makes an all -0.0 total +0.0)
+        survival = (0.0 + np.add.accumulate(vals[:, kz.targets], axis=1)[:, -1]
+                    if len(kz.targets) else np.zeros(len(todo)))
+        params = [(s, r, _gamma(graph, r)) for s, r
+                  in zip(survival.tolist(), vals[:, kz.origin].tolist())]
+        for s, r, _ in params:
+            _check_walk(s, r)
         vals.flags.writeable = False
         kz.rows.update(zip(todo, vals))
+        kz.params.update(zip(todo, params))
     return [kz.rows[beta] for beta in betas]
 
 
@@ -228,24 +242,23 @@ def expected_hitting_time(graph: WeightedGraph) -> float:
     return kz.expected
 
 
-def survival_transform(graph: WeightedGraph, beta: float) -> float:
-    """S_beta = E[beta^T] (0 when the targets are unreachable)."""
-    return WalkParameters.from_graph(graph, beta).survival
+def walk_parameters(graph: WeightedGraph, betas) -> list:
+    """One fresh WalkParameters per beta in the sequence betas.
 
-
-def survival_transforms(graph: WeightedGraph, betas) -> list:
-    """[survival_transform(graph, beta) for beta in betas], bit for bit.
-
-    The same left-to-right target sums, over green_rows(graph, betas) at once.
+    Reads the (S, R, Gamma) green_rows keeps; betas the walk record lacks
+    are solved in one green_rows call.  At beta = 1 with the targets
+    unreachable, S = 0 and R = Gamma = inf, without a solve.
     """
     kz = _kernel(graph)
-    if not len(betas) or not len(kz.targets):
-        return [WalkParameters.from_graph(graph, beta).survival for beta in betas]
-    rows = np.stack(green_rows(graph, betas))
-    s = 0.0 + np.add.accumulate(rows[:, kz.targets], axis=1)[:, -1]
-    for value in (s.min(), s.max()):  # the extremes stand for every beta
-        WalkParameters(0.0, float(value), rows[:, kz.origin].min(), 0.0).validate()
-    return s.tolist()
+    todo = [beta for beta in betas if beta not in kz.params]
+    if todo:
+        green_rows(graph, todo)
+    return [WalkParameters(float(beta), *kz.params[beta]) for beta in betas]
+
+
+def survival_transform(graph: WeightedGraph, beta: float) -> float:
+    """S_beta = E[beta^T] (0 when the targets are unreachable)."""
+    return walk_parameters(graph, (beta,))[0].survival
 
 
 def origin_visits(graph: WeightedGraph, beta: float) -> float:
@@ -253,17 +266,17 @@ def origin_visits(graph: WeightedGraph, beta: float) -> float:
 
     At beta = 1 this equals w_o * r(o, z); math.inf when z is unreachable.
     """
-    return WalkParameters.from_graph(graph, beta).visits
+    return walk_parameters(graph, (beta,))[0].visits
 
 
 def gamma(graph: WeightedGraph, beta: float) -> float:
-    """Gamma_beta = R_beta * w_z / w_o; math.inf when w_o = 0."""
-    return WalkParameters.from_graph(graph, beta).gamma
+    """Gamma_beta = R_beta * w_z / w_o; math.inf when w_o = 0 or R_beta = inf."""
+    return walk_parameters(graph, (beta,))[0].gamma
 
 
 def effective_resistance(graph: WeightedGraph) -> float:
     """r(o, z) = G_1(o, o) / w_o for the network with unit conductance = weight."""
-    r = origin_visits(graph, 1.0)
+    r = walk_parameters(graph, (1.0,))[0].visits
     return r / graph.vertex_weight(graph.origin) if math.isfinite(r) else math.inf
 
 
@@ -285,13 +298,20 @@ class HittingStats:
     def horizon(self) -> int:
         return len(self.pmf) - 1
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Read-only cdf[k] = P(T <= k): the pmf's running sum, formed once."""
+        cdf = self.pmf.cumsum()
+        cdf.flags.writeable = False
+        return cdf
+
     def cdf_at(self, x: float) -> float:
         """P(T <= x) from the tabulated pmf (x may be fractional or infinite)."""
         if math.isnan(x):
             raise GraphError("cdf_at needs a number, got nan")
         if x < 0:
             return 0.0
-        return float(self.pmf[: int(min(x, self.horizon)) + 1].sum())
+        return float(self.cdf[int(min(x, self.horizon))])
 
 
 def default_horizon(graph: WeightedGraph, expected: float) -> int:
@@ -378,7 +398,7 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     return HittingStats(expected=expected, pmf=pmf, survival_mass=survival)
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkParameters:
     """The (S, R, Gamma) triple of the damped walk at a fixed beta."""
 
@@ -387,35 +407,19 @@ class WalkParameters:
     visits: float
     gamma: float
 
-    @classmethod
-    def from_graph(cls, graph: WeightedGraph, beta: float) -> "WalkParameters":
-        kz = _kernel(graph)
-        s, r = 0.0, math.inf  # at beta = 1 with the targets unreachable
-        if beta != 1.0 or len(kz.targets):
-            # a kept row is read straight from the record: this runs per
-            # statistic, and green_rows' bookkeeping would cost more than it
-            _check_beta(beta, allow_one=True)
-            vals = kz.rows.get(beta)
-            if vals is None:
-                vals = green_rows(graph, (beta,))[0]
-            # the targets' entries added left to right in one NumPy call:
-            # the bits of sum() over them without a Python addition per
-            # target (0.0 + makes an all -0.0 total +0.0, as sum() from 0 does)
-            hit = vals[kz.targets]
-            s = 0.0 + float(np.add.accumulate(hit)[-1]) if len(hit) else 0.0
-            r = float(vals[kz.origin])
-        p = cls(beta=float(beta), survival=s, visits=r, gamma=_gamma(graph, r))
-        p.validate()
-        return p
-
     def validate(self) -> None:
-        if not -1e-9 <= self.survival <= 1.0 + 1e-9:
-            raise GraphError(f"survival {self.survival} outside [0, 1]")
-        if self.visits < 1.0 - 1e-9:
-            raise GraphError(f"visit count {self.visits} below 1")
+        _check_walk(self.survival, self.visits)
+
+
+def _check_walk(survival: float, visits: float) -> None:
+    """Raise GraphError unless 0 <= S <= 1 and R >= 1, each to 1e-9."""
+    if not -1e-9 <= survival <= 1.0 + 1e-9:
+        raise GraphError(f"survival {survival} outside [0, 1]")
+    if visits < 1.0 - 1e-9:
+        raise GraphError(f"visit count {visits} below 1")
 
 
 def _gamma(graph: WeightedGraph, visits: float) -> float:
     """Gamma = R * w_z / w_o; math.inf when w_o = 0, and for R = inf."""
     wo = graph.vertex_weight(graph.origin)
-    return visits * graph.set_weight() / wo if wo else math.inf
+    return visits * graph.set_weight() / wo if wo and visits != math.inf else math.inf

@@ -521,7 +521,7 @@ def gamma_chain_bound(graph: WeightedGraph, beta: float) -> tuple:
     if not math.isfinite(d) or d < 2:
         raise FlowError("needs dist(origin, target) >= 2")
     n = int(d) - 1
-    exact = engine.WalkParameters.from_graph(work, beta)
+    exact = engine.walk_parameters(work, (beta,))[0]
     s_total, gam = exact.survival, exact.gamma
     sbar = (s_total / beta) ** (1.0 / n)
     if sbar >= beta:

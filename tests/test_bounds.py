@@ -228,10 +228,17 @@ def test_check_fails_just_past_its_bound(kind, monkeypatch):
 def test_transform_check_has_no_absolute_floor(monkeypatch):
     """A bound of 1e-305 is live and fails against 2e-305; a bound of 0.0 is vacuous."""
     graph = unit_path(6)
+    real = engine.walk_parameters
+
+    def observed_survival(work, betas):  # S replaced, R_1 as solved
+        params = real(work, betas)
+        for p in params:
+            p.survival = observed
+        return params
+
     for bound, observed, live in ((1e-305, 2e-305, True), (0.0, 1e-310, False)):
         monkeypatch.setattr(bounds, "transform_upper_bound", lambda *args: bound)
-        monkeypatch.setattr(engine, "survival_transforms",
-                            lambda work, betas: [observed] * len(betas))
+        monkeypatch.setattr(engine, "walk_parameters", observed_survival)
         report = bounds.check_theorem1(graph, a_grid=(), beta_grid=(0.5,))
         checks = [c for c in report.checks if c.kind == "transform"]
         assert [c.source for c in checks] == ["weight_ratio", "resistance"]
@@ -241,6 +248,19 @@ def test_transform_check_has_no_absolute_floor(monkeypatch):
             note = f"{c.source}: transform bound at beta=0.5 is 0, below"
             assert any(n.startswith(note) for n in report.notes) is not live
         assert report.all_pass is not live
+
+
+@pytest.mark.parametrize("graph", [
+    unit_path(60), fast_path(120, poly_growth_drift(120, 1.0))],
+    ids=["unit_path_60", "fast_path_120"])
+def test_tail_observed_is_cdf_at_threshold(graph):
+    # one running sum of the pmf serves the tail checks and cdf_at
+    report = bounds.check_theorem1(graph)
+    tails = [c for c in report.checks if c.kind == "tail"]
+    thresholds = [math.floor(c.param * report.n + 1.0) for c in tails]
+    assert len(tails) == 24
+    stats = engine.hitting_time_pmf(graph.normalized(), horizon=max(thresholds))
+    assert [c.observed for c in tails] == [stats.cdf_at(t) for t in thresholds]
 
 
 def test_mean_bound_below_exact_on_sample(corpus_sample):

@@ -57,7 +57,7 @@ def test_flow_report_flags_flow_law(graphs, honest, monkeypatch, name, key, kind
 
 def test_flow_report_flags_flow_parameters(graphs, honest, monkeypatch):
     def doubled_visits(flow):
-        p = engine.WalkParameters.from_graph(flow.graph, flow.beta)
+        [p] = engine.walk_parameters(flow.graph, (flow.beta,))
         return types.SimpleNamespace(survival=p.survival, visits=2.0 * p.visits,
                                      gamma=p.gamma)
 

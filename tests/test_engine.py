@@ -196,7 +196,7 @@ def test_pmf_mass_and_mean(corpus_sample):
         assert stats.cdf_at(-math.inf) == 0.0
         assert stats.cdf_at(stats.horizon) == pytest.approx(
             1.0 - stats.survival_mass, abs=1e-12)
-        whole = float(stats.pmf.sum())
+        whole = stats.cdf_at(stats.horizon)
         assert stats.cdf_at(stats.horizon + 0.5) == whole
         assert stats.cdf_at(1e300) == whole
         assert stats.cdf_at(math.inf) == whole
@@ -292,8 +292,29 @@ def test_pmf_rejects_horizon_beyond_cap():
 
 def test_walk_parameters_take_one_solve(count_calls):
     solves = count_calls(engine, "_solve")
-    engine.WalkParameters.from_graph(random_graph(seed=3), 0.5)
+    engine.walk_parameters(random_graph(seed=3), (0.5,))
     assert len(solves) == 1
+
+
+def test_walk_parameters_are_fresh_objects():
+    g = unit_path(5)
+    [p] = engine.walk_parameters(g, (0.5,))
+    s = p.survival
+    p.survival = 2.0  # changes the caller's copy, not the walk record
+    assert engine.survival_transform(g, 0.5) == s
+    assert engine.walk_parameters(g, (0.5,))[0] is not p
+
+
+def test_failed_parameter_check_keeps_nothing(monkeypatch):
+    # a row whose target entry is 2: S = 2 lies outside [0, 1]
+    monkeypatch.setattr(engine, "_solve", lambda graph, betas, idx, rhs, **kw:
+                        np.full((len(betas), len(idx)), 2.0))
+    g = unit_path(5)
+    for _ in range(2):  # nothing of the failed solve was kept
+        with pytest.raises(GraphError, match=r"survival 2.0 outside \[0, 1\]"):
+            engine.survival_transform(g, 0.5)
+    assert engine._kernel(g).rows == {}
+    assert engine._kernel(g).params == {}
 
 
 def test_walk_record_solves_each_system_once(count_calls):
@@ -424,23 +445,34 @@ def test_survival_grid_matches_single_reads():
     def bits(values):
         return [(v, math.copysign(1.0, v)) for v in values]
 
+    def grid(graph, betas):
+        return [p.survival for p in engine.walk_parameters(graph, betas)]
+
     for i in range(30):
-        grid = engine.survival_transforms(corpus.corpus_graph(i).normalized(), betas)
+        values = grid(corpus.corpus_graph(i).normalized(), betas)
         g = corpus.corpus_graph(i).normalized()
-        assert bits(grid) == bits([engine.survival_transform(g, b) for b in betas])
-        assert engine.survival_transforms(g, ()) == []
+        assert bits(values) == bits([engine.survival_transform(g, b) for b in betas])
+        assert engine.walk_parameters(g, ()) == []
     lone = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)], origin=0, targets=[3])
-    assert bits(engine.survival_transforms(lone, betas)) == bits([0.0] * len(betas))
+    assert bits(grid(lone, betas)) == bits([0.0] * len(betas))
     with pytest.raises(GraphError):
-        engine.survival_transforms(lone, (1.5,))
+        engine.walk_parameters(lone, (1.5,))
 
 
 def test_zero_weight_origin_gamma_is_infinite():
     g = WeightedGraph([(1, 2, 1.0)], origin=0, targets=[2], vertices=[0, 1, 2])
-    p = engine.WalkParameters.from_graph(g, 0.5)
+    [p] = engine.walk_parameters(g, (0.5,))
     assert (p.survival, p.visits, p.gamma) == (0.0, 1.0, math.inf)
     assert engine.gamma(g, 0.5) == p.gamma
     assert engine.effective_resistance(g) == math.inf
+
+
+def test_unreachable_zero_weight_targets_gamma_is_infinite():
+    # R_1 = inf and w_z = 0: Gamma is inf, not inf * 0 = nan
+    g = WeightedGraph([(0, 1, 1.0)], origin=0, targets=[2], vertices=[0, 1, 2])
+    assert engine.origin_visits(g, 1.0) == math.inf
+    assert engine.gamma(g, 1.0) == math.inf
+    assert engine._gamma(g, math.inf) == math.inf
 
 
 def test_large_path_solve():
@@ -458,7 +490,7 @@ def test_large_cycle_solve():
 
 def test_walk_parameters_validate(corpus_sample):
     for g in corpus_sample[:12]:
-        params = engine.WalkParameters.from_graph(g, 0.6)
+        [params] = engine.walk_parameters(g, (0.6,))
         params.validate()
         assert 0.0 < params.survival < 1.0
         assert params.visits >= 1.0

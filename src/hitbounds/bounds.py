@@ -327,7 +327,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
                     f"(threshold {threshold} beyond horizon cap)")
                 continue
             bound = tail_upper_bound(n, g, a)
-            observed = stats.cdf_at(threshold) if stats is not None else 0.0
+            observed = stats.cdf_at(threshold)
             # threshold >= d, so P(T <= threshold) >= P(T = d) > 0
             underflow = observed == 0.0
             if underflow:

@@ -168,12 +168,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    graph = read_graph_file(args.graph)
-    flow = flows.build_flow(graph, args.beta)
-    dec = flows.decompose(flow)
-    payload = dec.to_dict()
+    flow = flows.build_flow(read_graph_file(args.graph), args.beta)
+    payload = flows.decompose(flow).to_dict()
     _emit_json(payload, args.out, _manifest(args, "decompose", [args.graph]))
-    return 0 if dec.reconstruction_error() <= 1e-9 else 2
+    return 2 if flows.law_failures(payload["laws"]) else 0
 
 
 def _cmd_generate(args) -> int:

@@ -162,7 +162,7 @@ def green_rows(graph: WeightedGraph, betas) -> list:
     in (0, 1]; at beta = 1 the component must contain a target.
     """
     for beta in betas:
-        _check_beta(beta, allow_one=True)
+        _check_beta(beta)
     kz = _kernel(graph)
     todo = [beta for beta in dict.fromkeys(betas) if beta not in kz.rows]
     if todo:
@@ -190,7 +190,7 @@ def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
     Components that cannot reach a target are filled with math.inf at
     beta = 1 (infinite expected visits) instead of raising.
     """
-    _check_beta(beta, allow_one=True)
+    _check_beta(beta)
     if graph.n > DENSE_VERTEX_LIMIT:
         raise GraphError(
             f"green_kernel returns a dense matrix (<= {DENSE_VERTEX_LIMIT} "
@@ -209,11 +209,9 @@ def green_kernel(graph: WeightedGraph, beta: float) -> np.ndarray:
     return out
 
 
-def _check_beta(beta, allow_one=False):
-    top = 1.0 if allow_one else math.nextafter(1.0, 0.0)
-    if not (isinstance(beta, (int, float)) and 0.0 < float(beta) <= top):
-        limit = "(0, 1]" if allow_one else "(0, 1)"
-        raise GraphError(f"beta must lie in {limit}, got {beta!r}")
+def _check_beta(beta):
+    if not (isinstance(beta, (int, float)) and 0.0 < float(beta) <= 1.0):
+        raise GraphError(f"beta must lie in (0, 1], got {beta!r}")
 
 
 # -- scalar statistics ----------------------------------------------------
@@ -344,8 +342,8 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     """Exact pmf of T by iterating the killed kernel from the origin.
 
     The default horizon is max(16 E[T], 4 n^2), capped at PMF_HORIZON_CAP
-    = 1e7; a larger explicit horizon raises GraphError.  Iteration stops
-    early once the surviving mass underflows to zero.
+    = 1e7; a larger or non-integer horizon raises GraphError.  Iteration
+    stops early once the surviving mass underflows to zero.
 
     Over m live vertices, a dense block of b = 2^L <= 64 steps sets
     pmf[k:k+b] = v A and v = v K^b, A = [a, K a, ..., K^(b-1) a] for the
@@ -355,13 +353,13 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
     _pmf_doublings predicts the doublings and blocks to cost more than
     single CSR steps, K is kept sparse and stepped singly.
     """
+    if horizon is not None and (
+            isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer))
+            or not 0 <= horizon <= PMF_HORIZON_CAP):
+        raise GraphError(f"horizon must lie in [0, {PMF_HORIZON_CAP}] and be an "
+                         f"integer, got {horizon!r}")
     expected = expected_hitting_time(graph)
-    if horizon is None:
-        horizon = default_horizon(graph, expected)
-    horizon = int(horizon)
-    if not 0 <= horizon <= PMF_HORIZON_CAP:
-        raise GraphError(
-            f"horizon must lie in [0, {PMF_HORIZON_CAP}], got {horizon}")
+    horizon = default_horizon(graph, expected) if horizon is None else int(horizon)
     kz = _kernel(graph)
     alive = kz.comp[~kz.at_target]
     m = len(alive)

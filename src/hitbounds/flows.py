@@ -436,6 +436,21 @@ class FlowDecomposition:
         }
 
 
+def law_failures(laws: dict) -> list:
+    """(kind, value) of each decomposition law that laws() reports broken, in order.
+
+    Reconstruction error below 1e-9, total alpha at most 1 + 1e-9, paths at
+    least dist(o, z) long, dead target inflow within 1e-9 max(1, scale); NaN fails.
+    """
+    error, inflow = laws["reconstruction_error"], laws["dead_target_inflow"]
+    return [(kind, value) for kind, broken, value in (
+        ("reconstruction", not error < 1e-9, error),
+        ("alpha_sum", not laws["alpha_within_unit"], laws["total_alpha"]),
+        ("path_length", not laws["paths_at_least_distance"], laws["component_count"]),
+        ("dead_target_inflow", not inflow <= 1e-9 * max(1.0, laws["scale"]), inflow),
+    ) if broken]
+
+
 def decompose(flow: LossFlow) -> FlowDecomposition:
     """Peel the flow into path components plus a dead-end remainder.
 

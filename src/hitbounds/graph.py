@@ -73,9 +73,9 @@ class WeightedGraph:
     Treat instances as frozen: all derived data (canonical indexing, vertex
     weights, adjacency, the target weight w_z) is computed once at
     construction, and replace shares it.  Kept on the instance on first use:
-    the hop distances to the targets (_target_hops), the contracted and the
-    normalized graph (_contracted, _normalized) and the engine's walk record
-    (_kz: K_z, E[T] and the Green row per beta).  No pmf is kept (see engine).
+    the hop distances to the targets (_target_hops), the normalized graph
+    (_normalized) and the engine's walk record (_kz: K_z, E[T] and the
+    Green row per beta).  No pmf is kept (see engine).
     """
 
     def __init__(self, edges, origin, targets, vertices=(), metadata=None):
@@ -221,15 +221,8 @@ class WeightedGraph:
         hitting time of the target set from the origin has the same law before
         and after.  The merged vertex keeps the canonically smallest target
         label.  A graph with one target and no self-loop on it is returned
-        as is.  The result is kept on the graph (as True when it is the graph).
+        as is.
         """
-        work = self.__dict__.get("_contracted")
-        if work is None:
-            work = self._contract()
-            self._contracted = True if work is self else work
-        return self if work is True else work
-
-    def _contract(self) -> "WeightedGraph":
         merged = self.targets[0]
         tset = self.target_indices
         zi = self.index[merged]

@@ -67,3 +67,29 @@ def origin_visits(graph, beta):
     """R_beta = G_beta(o, o), the origin's entry of (I - beta P) x = e_o."""
     origin = graph.origin_index
     return _solve(graph, beta, lambda i, wi, beta: Fraction(int(i == origin)))
+
+
+def hitting_pmf(graph, horizon):
+    """P(T = k) for k = 0..horizon, by stepping the walk's law on the live vertices.
+
+    The law v starts at the origin; each step adds its mass on arrival at
+    the targets to the pmf and moves the rest one step along P.
+    """
+    live = _live(graph)
+    pos = {i: k for k, i in enumerate(live)}
+    moves, arrive = [], []  # per live vertex: live steps, and P(step to a target)
+    for i in live:
+        nbrs = graph.adjacency[i]
+        wi = sum(map(Fraction, nbrs.values()))
+        moves.append([(pos[j], Fraction(w) / wi) for j, w in nbrs.items() if j in pos])
+        arrive.append(sum(Fraction(w) for j, w in nbrs.items() if j not in pos) / wi)
+    v = [Fraction(1)] + [Fraction(0)] * (len(live) - 1)
+    pmf = [Fraction(0)]
+    for _ in range(horizon):
+        pmf.append(sum(x * a for x, a in zip(v, arrive)))
+        step = [Fraction(0)] * len(live)
+        for x, out in zip(v, moves):
+            for k, p in out:
+                step[k] += x * p
+        v = step
+    return pmf

@@ -58,7 +58,7 @@ def test_criterion_2_transform_domination(full_corpus):
     checked = 0
     worst = -math.inf
     for graph in full_corpus:
-        work = graph.contract_targets().restrict_accessible()
+        work = graph.normalized()  # the graph criterion 1 checked
         n = int(work.distance(work.origin)) - 1
         ratio = work.set_weight() / work.vertex_weight(work.origin)
         drifts = (bounds.solve_drift(n, ratio),

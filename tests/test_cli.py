@@ -11,7 +11,7 @@ import pytest
 from hitbounds import bounds, cli, corpus, engine
 from hitbounds.graph import (
     WeightedGraph, parse, read_graph_file, serialize, write_graph_file)
-from hitbounds.generators import biased_line, fast_path, unit_path
+from hitbounds.generators import biased_line, fast_path, tree_line, unit_path
 
 
 MANIFEST_KEYS = ["command", "parameters", "input_hashes", "seed",
@@ -198,16 +198,29 @@ def test_decompose_invalid_beta(path5, capsys):
 
 
 def test_decompose_reports_broken_reconstruction(path5, tmp_path, monkeypatch):
-    class Broken:
-        def to_dict(self):
-            return {"laws": {}}
-
-        def reconstruction_error(self):
-            return 1e-3
-
-    monkeypatch.setattr(cli.flows, "decompose", lambda flow: Broken())
+    monkeypatch.setattr(cli.flows.FlowDecomposition, "reconstruction_error",
+                        lambda self: 1e-3)
     assert run(["decompose", str(path5), "--beta", "0.5",
                 "--out", str(tmp_path / "d.json")]) == 2
+
+
+@pytest.mark.parametrize("law, value", [
+    ("reconstruction_error", 1e-9),  # corpus-check fails a gap at its limit
+    ("alpha_within_unit", False),
+    ("paths_at_least_distance", False),
+    ("dead_target_inflow", 1.0),
+])
+def test_decompose_exits_two_on_any_broken_law(law, value, tmp_path, monkeypatch):
+    # the verdict corpus-check's flow suite gives, on the laws the report shows
+    p = tmp_path / "tree.json"
+    write_graph_file(tree_line(2, [4] * 5 + [2] * 2, 8), p)
+    out = tmp_path / "d.json"
+    assert run(["decompose", str(p), "--beta", "0.9", "--out", str(out)]) == 0
+    laws = cli.flows.FlowDecomposition.laws
+    monkeypatch.setattr(cli.flows.FlowDecomposition, "laws",
+                        lambda self: {**laws(self), law: value})
+    assert run(["decompose", str(p), "--beta", "0.9", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["laws"][law] == value
 
 
 def test_decompose_nontermination_exits_two(path5, capsys, monkeypatch):

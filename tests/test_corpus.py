@@ -152,7 +152,7 @@ def test_commute_report_flags_round_trip(graphs, monkeypatch):
     report = corpus.commute_report(graphs)
     gaps = []
     for graph in graphs:
-        work = graph.contract_targets()
+        work = graph.normalized()
         product = work.total_weight() * engine.effective_resistance(work)
         gaps.append(corpus._relative_gap(2e6, product))
     assert report["failures"] == [{"graph": i, "gap": gap}

@@ -290,6 +290,18 @@ def test_pmf_rejects_horizon_beyond_cap():
             engine.hitting_time_pmf(unit_path(2), horizon=horizon)
 
 
+def test_pmf_rejects_non_integer_horizon(count_calls):
+    # int() would truncate 2.9 to 2, parse "12" and read True as 1
+    g = unit_path(3)
+    solves = count_calls(engine, "_solve")
+    for horizon in (2.9, 3.0, "12", True, np.float64(4.0), -1):
+        with pytest.raises(GraphError, match="horizon must lie in .* be an integer"):
+            engine.hitting_time_pmf(g, horizon=horizon)
+    assert solves == []  # checked before E[T] is solved
+    for horizon in (12, np.int64(12), np.uint8(12)):
+        assert engine.hitting_time_pmf(g, horizon=horizon).horizon == 12
+
+
 def test_walk_parameters_take_one_solve(count_calls):
     solves = count_calls(engine, "_solve")
     engine.walk_parameters(random_graph(seed=3), (0.5,))
@@ -423,19 +435,31 @@ def test_stacked_solves_stay_within_one_dense_system(monkeypatch):
 
 
 def test_corpus_check_solve_count(count_calls):
-    # 2264 distinct (graph, system) pairs; every one is solved once, and a
+    # 2200 distinct (graph, system) pairs; every one is solved once, and a
     # graph's beta grid goes to _solve in one call.  Each draw builds one
-    # graph, a graph keeps its contraction, and distance() runs one BFS
-    # per graph: 143 constructions and 1570 BFS runs in all
+    # graph, every suite reads its one normalization, and distance() runs
+    # one BFS per graph: 143 constructions and 1506 BFS runs in all
     solves = count_calls(engine, "_solve")
     builds = count_calls(WeightedGraph, "__init__")
     hops = [count_calls(module, "_hops")
             for module in (hitbounds.graph, hitbounds.generators, hitbounds.flows)]
     corpus.run_all(count=100, seed=11, flow_count=20)
-    assert sum(len(betas) for _, betas, *_ in solves) == 2264
-    assert len(solves) == 364
+    assert sum(len(betas) for _, betas, *_ in solves) == 2200
+    assert len(solves) == 300
     assert len(builds) == 143
-    assert sum(map(len, hops)) == 1570
+    assert sum(map(len, hops)) == 1506
+
+
+def test_commute_report_reuses_the_bound_walk_record(count_calls):
+    # graph 2 has a pocket, so its normalization drops vertices; E[T] there
+    # and the resistance come from check_theorem1's record, only the return
+    # walk is solved
+    graph = corpus.corpus_graph(2)
+    assert graph.normalized().n < graph.n
+    bounds.check_theorem1(graph)
+    solves = count_calls(engine, "_solve")
+    assert corpus.commute_report([graph])["all_pass"]
+    assert sum(len(betas) for _, betas, *_ in solves) == 1
 
 
 def test_survival_grid_matches_single_reads():

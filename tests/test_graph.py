@@ -129,10 +129,9 @@ def test_replaced_graph_starts_its_own_walk_record():
     g = corpus_graph(7)  # two targets, so the contraction is a new graph
     assert len(g.targets) == 2
     g.distance(g.origin)
-    g.contract_targets()
     engine.expected_hitting_time(g.normalized())
     engine.expected_hitting_time(g)
-    cached = ("_kz", "_normalized", "_contracted", "_target_hops")
+    cached = ("_kz", "_normalized", "_target_hops")
     assert all(name in g.__dict__ for name in cached)
     h = g.replace(origin=g.targets[0], targets=[g.origin])
     assert not any(name in h.__dict__ for name in cached)
@@ -361,9 +360,10 @@ def test_normal_graph_freed_without_cycle_collector():
         ref = weakref.ref(g)
         del g
         assert ref() is None
-        g = corpus_graph(7)  # its contraction is a graph of its own
-        work = g.contract_targets()
-        assert work is not g and g.contract_targets() is work
+        g = corpus_graph(7)  # its normalization is a graph of its own
+        work = g.normalized()
+        assert work is not g and g.normalized() is work
+        assert "_contracted" not in g.__dict__
         refs = [weakref.ref(g), weakref.ref(work)]
         del g, work
         assert [r() for r in refs] == [None, None]

@@ -264,7 +264,8 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
     pockets); this can only tighten the bounds and never changes the hitting
     law.  A check passes within a relative _SLACK = 1e-9 of its bound, room
     for roundoff in the exact values.  a_grid and beta_grid default to
-    default_a_grid(g) per drift and default_beta_grid().  Tail thresholds
+    default_a_grid(g) per drift and default_beta_grid().  a values outside
+    [1, (g+1)/(g-1)], the range rate_function accepts, and tail thresholds
     beyond _TAIL_HORIZON_CAP steps are skipped (noted in the report).
     """
     work = graph.normalized()
@@ -299,7 +300,7 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
         report.drift["rough"] = drift_upper_estimate(n, ratio)
     sources = [("weight_ratio", g_a, excess_a), ("resistance", g_b, excess_b)]
 
-    grids = {}  # the tail grid of each source: its a values in [1, mean time]
+    grids = {}  # the tail grid of each source: the a values rate_function accepts
     for source, g, excess in sources:
         if excess <= _VACUOUS_EXCESS:
             report.notes.append(f"{source}: drift degenerate, mean bound vacuous")
@@ -309,10 +310,10 @@ def check_theorem1(graph: WeightedGraph, a_grid=None, beta_grid=None) -> BoundRe
         mean_time = 1.0 + 2.0 / excess  # (g+1)/(g-1) via the excess
         _check(report, "mean", source, g, None, mean_time * n + 1.0, expected)
         candidate = tuple(a_grid) if a_grid is not None else default_a_grid(g)
-        grids[source] = tuple(a for a in candidate if 1.0 <= a <= mean_time)
+        a_max = (g + 1.0) / (g - 1.0)  # rate_function's bound; mean_time can exceed it
+        grids[source] = tuple(a for a in candidate if 1.0 <= a <= a_max)
         if len(grids[source]) < len(candidate):
-            report.notes.append(
-                f"{source}: a values outside [1, {mean_time:.6g}] skipped")
+            report.notes.append(f"{source}: a values outside [1, {a_max:.6g}] skipped")
     thresholds = sorted({math.floor(a * n + 1.0)
                          for grid in grids.values() for a in grid})
     horizon = int(min(max(thresholds, default=0), _TAIL_HORIZON_CAP))

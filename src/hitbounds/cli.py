@@ -3,13 +3,16 @@
 Subcommands:
     analyze       exact hitting statistics plus the full bound report (JSON)
     decompose     loss-flow path decomposition with law residuals (JSON)
-    generate      write a graph file from a named family
-    simulate      Monte Carlo estimates (CSV)
+    generate      write a graph file from a named family; each family is a
+                  subcommand with its own flags (generate <family> --help)
+    simulate      Monte Carlo estimates (CSV) on a graph file or, with
+                  --reference-g instead, on the biased integer walk
     sweep         per-size closed-form / exact / bound table (CSV)
     corpus-check  the full property suite over the seeded corpus (JSON)
 
-Exit codes: 0 success; 1 invalid input or parameters; 2 a mathematical law
-or bound that must always hold was observed violated.
+Exit codes: 0 success; 1 invalid input or parameters, a flag the command
+does not read included; 2 a mathematical law or bound that must always hold
+was observed violated.
 
 Every run is deterministic given its flags.  JSON reports embed a run
 manifest (command, parameters, input hashes, seed, artifact version,
@@ -70,7 +73,7 @@ def _manifest(args, command: str, inputs=()) -> dict:
     return {
         "command": command,
         "parameters": {k: _jsonable(v) for k, v in sorted(vars(args).items())
-                       if k != "func"},
+                       if k not in ("func", "build")},
         "input_hashes": {str(p): _sha256_file(p) for p in inputs},
         "seed": getattr(args, "seed", None),
         "artifact_version": __version__,
@@ -109,21 +112,6 @@ def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ParameterError(f"{flag} is required here")
-
-
-def _int_drift(g, name: str = "g") -> int:
-    if isinstance(g, float):
-        if not g.is_integer():
-            raise ParameterError(f"{name} must be an integer, got {g!r}")
-        return int(g)
-    return g
 
 
 # -- commands --------------------------------------------------------------
@@ -174,50 +162,27 @@ def _cmd_decompose(args) -> int:
     return 2 if flows.law_failures(payload["laws"]) else 0
 
 
+def _fast_path(n, g=None, **p):
+    """fast_path(n, g); without g, the drift poly_growth_drift(n, p)."""
+    if g is None:
+        g = generators.poly_growth_drift(n, **p)
+    return generators.fast_path(n, g)
+
+
 def _cmd_generate(args) -> int:
-    family = args.family
-    if family == "unit_path":
-        _require(args, "n")
-        graph = generators.unit_path(args.n)
-    elif family == "fast_path":
-        _require(args, "n")
-        g = args.g
-        if g is None:
-            g = generators.poly_growth_drift(args.n, args.p or 0.0)
-        graph = generators.fast_path(args.n, g)
-    elif family == "biased_line":
-        _require(args, "n", "g")
-        graph = generators.biased_line(args.n, args.g, tail=args.tail)
-    elif family == "concatenated_fast":
-        kwargs = {"cuts": args.cuts, "p": args.p or 0.0}
-        if args.max_vertices is not None:
-            kwargs["max_vertices"] = args.max_vertices
-        graph = generators.concatenated_fast(**kwargs)
-    elif family == "tree_line":
-        _require(args, "g", "depths", "length")
-        graph = generators.tree_line(_int_drift(args.g), args.depths,
-                                     args.length)
-    elif family == "random":
-        seed = args.seed if args.seed is not None else corpus.DEFAULT_SEED
-        kwargs = {"seed": seed}
-        if args.max_vertices is not None:
-            kwargs["max_vertices"] = args.max_vertices
-        graph = generators.random_graph(**kwargs)
-    else:
-        raise ParameterError(f"unknown family {family!r}")
+    # the family's own flags; one not given keeps its generator default
+    kwargs = {k: v for k, v in vars(args).items() if v is not None
+              and k not in ("command", "family", "func", "build", "out")}
+    graph = args.build(**kwargs)
     _emit_text(serialize(graph), args.out, _manifest(args, "generate"))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    if args.reference_g is not None:
-        target = BiasedWalk(args.reference_g)
-        inputs = []
+    if args.graph is None:
+        target, inputs = BiasedWalk(args.reference_g), []
     else:
-        if args.graph is None:
-            raise ParameterError("a graph file or --reference-g is required")
-        target = read_graph_file(args.graph)
-        inputs = [args.graph]
+        target, inputs = read_graph_file(args.graph), [args.graph]
     horizon = args.horizon if args.horizon is not None else 1_000_000
     record = tuple(args.record) if args.record else ()
     if args.estimator != "hitting" and not record:
@@ -251,25 +216,16 @@ def _cmd_sweep(args) -> int:
         if args.family == "fast_path":
             g = args.g if args.g is not None else generators.poly_growth_drift(n, p)
             closed = generators.fast_path_expected(n, g)
-            res = generators.fast_path_resistance(n, g)
             w_last = generators._fast_last_weight(n, g)
             build = lambda: generators.fast_path(n, g)
-        elif args.family == "unit_path":
+        else:  # unit_path
             g = None
             closed = float(n) ** 2
-            res = float(n)
             w_last = 1.0
             build = lambda: generators.unit_path(n)
-        else:
-            raise ParameterError(f"unknown sweep family {args.family!r}")
-        steps = n - 1
-        ratio_wr = w_last * res
-        if steps >= 1 and math.isfinite(ratio_wr):
-            mean_bound = bounds.mean_lower_bound(
-                steps, bounds.solve_drift(steps, ratio_wr))
-        else:
-            mean_bound = 1.0
-        asym = bounds.poly_mean_asymptote(n, p)
+        asym = bounds.poly_mean_asymptote(n, p)  # checks n > 1
+        # check_theorem1's weight-ratio bound, ratio = w_z / w_o with w_o = 1
+        mean_bound = bounds.mean_lower_bound(n - 1, bounds.solve_drift(n - 1, w_last))
         ratio = closed / asym
         exact = engine.expected_hitting_time(build()) if n + 1 <= max_exact else None
         if mean_bound > closed * (1.0 + 1e-9):
@@ -308,7 +264,7 @@ def _int_list(text: str):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-@functools.cache  # built once per process: it costs about 1 ms
+@functools.cache  # built once per process: it costs a few ms
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hitbounds",
                      description="Exact hitting-time statistics and sharp "
@@ -332,45 +288,57 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_decompose)
 
     pg = sub.add_parser("generate", help="write a graph from a named family")
-    pg.add_argument("family", choices=("unit_path", "fast_path", "biased_line",
-                                       "concatenated_fast", "tree_line",
-                                       "random"))
-    pg.add_argument("--n", type=int, default=None)
-    pg.add_argument("--g", type=float, default=None)
-    pg.add_argument("--p", type=float, default=None)
-    pg.add_argument("--tail", type=int, default=0)
-    pg.add_argument("--cuts", type=_int_list, default=None, metavar="X1,X2,...")
-    pg.add_argument("--depths", type=_int_list, default=None,
-                    metavar="D1,D2,...")
-    pg.add_argument("--length", type=int, default=None)
-    pg.add_argument("--seed", type=int, default=None)
-    pg.add_argument("--max-vertices", type=int, default=None)
-    pg.add_argument("--out", default=None)
-    pg.set_defaults(func=_cmd_generate)
+    families = pg.add_subparsers(dest="family", required=True)
+
+    def family(name, build):
+        pf = families.add_parser(name)
+        pf.add_argument("--out", default=None)
+        pf.set_defaults(func=_cmd_generate, build=build)
+        return pf
+
+    pf = family("unit_path", generators.unit_path)
+    pf.add_argument("--n", type=int, required=True)
+    pf = family("fast_path", _fast_path)
+    pf.add_argument("--n", type=int, required=True)
+    drift = pf.add_mutually_exclusive_group()
+    drift.add_argument("--g", type=float)
+    drift.add_argument("--p", type=float, help="drift poly_growth_drift(n, p)")
+    pf = family("biased_line", generators.biased_line)
+    pf.add_argument("--n", type=int, required=True)
+    pf.add_argument("--g", type=float, required=True)
+    pf.add_argument("--tail", type=int)
+    pf = family("concatenated_fast", generators.concatenated_fast)
+    cuts = pf.add_mutually_exclusive_group()
+    cuts.add_argument("--cuts", type=_int_list, metavar="X1,X2,...")
+    cuts.add_argument("--max-vertices", type=int, help="doubling cuts up to this size")
+    pf.add_argument("--p", type=float)
+    pf = family("tree_line", generators.tree_line)
+    pf.add_argument("--g", type=int, required=True)
+    pf.add_argument("--depths", type=_int_list, required=True, metavar="D1,D2,...")
+    pf.add_argument("--length", type=int, required=True)
+    pf = family("random", generators.random_graph)
+    pf.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED)
+    pf.add_argument("--max-vertices", type=int)
 
     ps = sub.add_parser("simulate", help="Monte Carlo estimates to CSV")
-    ps.add_argument("graph", nargs="?", default=None, help="graph file (JSON)")
-    ps.add_argument("--estimator", choices=montecarlo.ESTIMATORS,
-                    default="hitting")
-    ps.add_argument("--reference-g", type=float, default=None,
-                    help="simulate the g-biased reference walk instead")
+    walk = ps.add_mutually_exclusive_group(required=True)
+    walk.add_argument("graph", nargs="?", help="graph file (JSON)")
+    walk.add_argument("--reference-g", type=float,
+                      help="simulate the g-biased reference walk instead")
+    ps.add_argument("--estimator", choices=montecarlo.ESTIMATORS, default="hitting")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--reps", type=int, default=10_000)
-    ps.add_argument("--horizon", type=int, default=None)
-    ps.add_argument("--record", type=_int_list, default=None,
-                    metavar="K1,K2,...")
+    ps.add_argument("--horizon", type=int)
+    ps.add_argument("--record", type=_int_list, metavar="K1,K2,...")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=_cmd_simulate)
 
     pw = sub.add_parser("sweep", help="per-size bound table to CSV")
-    pw.add_argument("--family", choices=("fast_path", "unit_path"),
-                    default="fast_path")
-    pw.add_argument("--n-list", type=_int_list, default=None,
-                    metavar="N1,N2,...")
-    pw.add_argument("--p", type=float, default=None)
-    pw.add_argument("--g", type=float, default=None)
-    pw.add_argument("--max-vertices", type=int, default=None,
-                    help="largest size solved exactly")
+    pw.add_argument("--family", choices=("fast_path", "unit_path"), default="fast_path")
+    pw.add_argument("--n-list", type=_int_list, metavar="N1,N2,...")
+    pw.add_argument("--p", type=float)
+    pw.add_argument("--g", type=float)
+    pw.add_argument("--max-vertices", type=int, help="largest size solved exactly")
     pw.add_argument("--out", default=None)
     pw.set_defaults(func=_cmd_sweep)
 

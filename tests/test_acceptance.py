@@ -173,7 +173,8 @@ def test_criterion_6_polynomial_scaling_trend():
             ratios.append(ratio)
 
             steps = n - 1
-            ratio_wr = (g - 1.0) ** 2 * g ** (n - 3) * fast_path_resistance(n, g)
+            # the weight-ratio calibration: w_z / w_o, with w_o = 1
+            ratio_wr = (g - 1.0) ** 2 * g ** (n - 3)
             mean_bound = bounds.mean_lower_bound(
                 steps, bounds.solve_drift(steps, ratio_wr))
             assert mean_bound <= closed * (1.0 + 1e-9)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitbounds import bounds, engine
+from hitbounds import bounds, corpus, engine
 from hitbounds.generators import fast_path, poly_growth_drift, random_graph, unit_path
 from hitbounds.graph import WeightedGraph
 from hitbounds.refwalk import (
@@ -44,6 +44,26 @@ def test_solve_drift_huge_ratio():
     # the bracket search reaches log g = 1024, where expm1 overflows
     g = bounds.solve_drift(3, 1e300)
     assert (g - 1.0) ** 2 * g == pytest.approx(2e300, rel=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [0.0, math.nan, math.inf])
+def test_solve_drift_rejects_ratio(ratio):
+    with pytest.raises(ParameterError, match="weight ratio must be positive"):
+        bounds.solve_drift(3, ratio)
+
+
+@pytest.mark.parametrize("index, source, a", [
+    (0, "weight_ratio", 10.001913575570473),
+    (9, "resistance", 8.797391201207002),
+])
+def test_a_grid_admits_only_what_the_rate_function_accepts(index, source, a):
+    # a is 1 + 2/(g-1), the mean check's value, one bit above (g+1)/(g-1)
+    report = bounds.check_theorem1(corpus.corpus_graph(index), a_grid=(a,))
+    assert report.all_pass
+    [mean] = [c for c in report.checks if c.kind == "mean" and c.source == source]
+    assert mean.bound == a * report.n + 1.0
+    assert not [c for c in report.checks if c.kind == "tail" and c.source == source]
+    assert any(note.startswith(f"{source}: a values outside") for note in report.notes)
 
 
 def test_drifts_finite_where_products_overflow():

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +13,8 @@ import pytest
 from hitbounds import bounds, cli, corpus, engine
 from hitbounds.graph import (
     WeightedGraph, parse, read_graph_file, serialize, write_graph_file)
-from hitbounds.generators import biased_line, fast_path, tree_line, unit_path
+from hitbounds.generators import (
+    biased_line, fast_path, poly_growth_drift, tree_line, unit_path)
 
 
 MANIFEST_KEYS = ["command", "parameters", "input_hashes", "seed",
@@ -277,14 +280,53 @@ def test_generate_to_stdout(capsys):
 
 
 def test_generate_missing_flag(capsys):
-    assert run(["generate", "fast_path"]) == 1
-    assert "--n is required here" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "fast_path"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --n" in capsys.readouterr().err
 
 
 def test_generate_rejects_bad_parameters(capsys):
     assert run(["generate", "fast_path", "--n", "3", "--g", "2.0"]) == 1
-    assert run(["generate", "tree_line", "--g", "2.5", "--depths", "1",
-                "--length", "3"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "tree_line", "--g", "2.5", "--depths", "1",
+             "--length", "3"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "random", "--n", "50", "--seed", "4"],
+    ["generate", "fast_path", "--n", "10", "--g", "2", "--p", "3"],
+    ["generate", "concatenated_fast", "--cuts", "16,256", "--max-vertices", "300"],
+    ["generate", "tree_line", "--g", "2.0", "--depths", "0,1", "--length", "4"],
+    ["simulate", "g.json", "--reference-g", "2"],
+], ids=["random_n", "fast_path_g_p", "concatenated_cuts_max", "tree_line_float_g",
+        "simulate_graph_reference"])
+def test_unread_flag_exits_one(argv, capsys):
+    # a flag the command does not read, or a fractional tree_line --g: a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+_FAMILY_FLAGS = {
+    "unit_path": {"--n"},
+    "fast_path": {"--n", "--g", "--p"},
+    "biased_line": {"--n", "--g", "--tail"},
+    "concatenated_fast": {"--cuts", "--max-vertices", "--p"},
+    "tree_line": {"--g", "--depths", "--length"},
+    "random": {"--seed", "--max-vertices"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_FLAGS))
+def test_family_help_names_only_its_flags(family, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", family, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == _FAMILY_FLAGS[family] | {"--help", "--out"}
 
 
 def test_unknown_family_or_flag_exits_one(capsys):
@@ -329,7 +371,9 @@ def test_simulate_reference_walk(tmp_path):
 def test_simulate_argument_conflicts(path5, capsys):
     assert run(["simulate", "--estimator", "hitting", "--reference-g",
                 "2.0"]) == 1
-    assert run(["simulate", "--estimator", "speed", "--reps", "2"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--estimator", "speed", "--reps", "2"])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "graph" in err
 
@@ -372,6 +416,21 @@ def test_sweep_table(tmp_path):
         assert abs(exact - closed) < 1e-8 * closed
 
 
+@pytest.mark.parametrize("family, sizes, graph", [
+    ("fast_path", "50,200", lambda n: fast_path(n, poly_growth_drift(n))),
+    ("unit_path", "50", unit_path),
+], ids=["fast_path", "unit_path"])
+def test_sweep_mean_bound_is_the_weight_ratio_bound(family, sizes, graph, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--family", family, "--n-list", sizes,
+                "--out", str(out)]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        row = line.split(",")
+        [check] = [c for c in bounds.check_theorem1(graph(int(row[1]))).checks
+                   if c.kind == "mean" and c.source == "weight_ratio"]
+        assert float(row[5]) == pytest.approx(check.bound, rel=1e-12, abs=0.0)
+
+
 def test_sweep_skips_exact_beyond_cap(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--family", "unit_path", "--n-list", "10,100",
@@ -408,6 +467,40 @@ def test_corpus_check_rejects_empty_counts(counts, capsys):
     # either count would check nothing and still report all_pass
     assert run(["corpus-check", *counts]) == 1
     assert "must be >=" in capsys.readouterr().err
+
+
+def test_analyze_without_out_writes_stdout(path5, capsys):
+    assert run(["analyze", str(path5)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["expected_time"] == 25.0
+    assert doc["manifest"]["outputs"] == []
+
+
+def test_module_runs_as_a_process(path5, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def cli_process(*argv):
+        return subprocess.run([sys.executable, "-m", "hitbounds.cli", *argv],
+                              env=env, capture_output=True, text=True)
+
+    out = tmp_path / "r.json"
+    proc = cli_process("analyze", str(path5), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["expected_time"] == 25.0
+    proc = cli_process("generate", "random", "--n", "50")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: hitbounds")
+    assert "unrecognized arguments: --n 50" in proc.stderr
+
+
+def test_console_script_entry_is_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hitbounds"]
+    module, name = entry.split(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_console_script_installed(path5, tmp_path):

@@ -518,6 +518,8 @@ def test_walk_parameters_validate(corpus_sample):
         params.validate()
         assert 0.0 < params.survival < 1.0
         assert params.visits >= 1.0
+    with pytest.raises(GraphError, match="visit count 0.9 below 1"):
+        engine.WalkParameters(0.5, 0.5, 0.9, 1.0).validate()
 
 
 @given(st.integers(0, 10_000), st.sampled_from([0.35, 0.75]))

@@ -229,6 +229,7 @@ _GOOD = {"vertices": [0, 1, 2], "edges": [[0, 1, 1.0], [1, 2, 1.0]],
     # GraphError from the constructor, raised as ParseError
     ({"edges": [[0, 1, -1.0], [1, 2, 1.0]]}, "negative weight"),
     ({"origin": 2}, "must not be a target"),
+    ({"colour": "red"}, r"unknown fields: \['colour'\]"),  # not a graph field
 ])
 def test_parse_rejects_malformed_document(change, message):
     with pytest.raises(ParseError, match=message):

@@ -107,6 +107,12 @@ def test_advance_pgf_fixed_point():
     assert advance_pgf(2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+def test_advance_pgf_domain(beta):
+    with pytest.raises(ParameterError, match=r"beta must lie in \(0, 1\]"):
+        advance_pgf(2.0, beta)
+
+
 @given(DRIFTS, st.floats(0.01, 0.99))
 @settings(max_examples=60, deadline=None)
 def test_advance_pgf_monotone_and_stable(g, beta):

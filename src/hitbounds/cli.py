@@ -6,8 +6,11 @@ Subcommands:
     generate      write a graph file from a named family; each family is a
                   subcommand with its own flags (generate <family> --help)
     simulate      Monte Carlo estimates (CSV) on a graph file or, with
-                  --reference-g instead, on the biased integer walk
-    sweep         per-size closed-form / exact / bound table (CSV)
+                  --reference-g instead, on the biased integer walk;
+                  --record only with an escape estimator
+    sweep         per-size closed-form / exact / bound table (CSV) for
+                  fast_path or unit_path, each a subcommand (--g is
+                  fast_path's)
     corpus-check  the full property suite over the seeded corpus (JSON)
 
 Exit codes: 0 success; 1 invalid input or parameters, a flag the command
@@ -127,14 +130,18 @@ def _cmd_analyze(args) -> int:
 
         def quantile(q):
             idx = int(np.searchsorted(stats.cdf, q))
-            return idx if idx <= stats.horizon else None
+            return idx if idx < len(stats.cdf) else None
 
+        pmf = stats.pmf
+        if len(pmf) <= stats.horizon:  # stopped early: the rest is 0, but a
+            # dot product's rounding depends on its length, so sum to the horizon
+            pmf = np.concatenate([pmf, np.zeros(stats.horizon + 1 - len(pmf))])
         pmf_summary = {
             "horizon": stats.horizon,
             "survival_mass": stats.survival_mass,
             "median": quantile(0.5),
             "q90": quantile(0.9),
-            "mean_from_pmf": float(np.arange(len(stats.pmf)) @ stats.pmf),
+            "mean_from_pmf": float(np.arange(len(pmf)) @ pmf),
         }
     else:
         pmf_summary = {"skipped": "target not reachable"}
@@ -183,6 +190,9 @@ def _cmd_simulate(args) -> int:
         target, inputs = BiasedWalk(args.reference_g), []
     else:
         target, inputs = read_graph_file(args.graph), [args.graph]
+    if args.estimator == "hitting" and args.record is not None:
+        raise ParameterError("--record is read by the escape estimators "
+                             "(speed, single_log), not by hitting")
     horizon = args.horizon if args.horizon is not None else 1_000_000
     record = tuple(args.record) if args.record else ()
     if args.estimator != "hitting" and not record:
@@ -334,13 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_simulate)
 
     pw = sub.add_parser("sweep", help="per-size bound table to CSV")
-    pw.add_argument("--family", choices=("fast_path", "unit_path"), default="fast_path")
-    pw.add_argument("--n-list", type=_int_list, metavar="N1,N2,...")
-    pw.add_argument("--p", type=float)
-    pw.add_argument("--g", type=float)
-    pw.add_argument("--max-vertices", type=int, help="largest size solved exactly")
-    pw.add_argument("--out", default=None)
-    pw.set_defaults(func=_cmd_sweep)
+    sweeps = pw.add_subparsers(dest="family", required=True)
+    for name in ("fast_path", "unit_path"):
+        pf = sweeps.add_parser(name)
+        pf.add_argument("--n-list", type=_int_list, required=True, metavar="N1,N2,...")
+        if name == "fast_path":
+            pf.add_argument("--g", type=float, help="drift (default poly_growth_drift(n, p))")
+        pf.add_argument("--p", type=float,
+                        help="p of the asymptote 2 n^2 / ((p+2) log n) (default 0)")
+        pf.add_argument("--max-vertices", type=int, help="largest size solved exactly")
+        pf.add_argument("--out", default=None)
+        pf.set_defaults(func=_cmd_sweep)
 
     pc = sub.add_parser("corpus-check", help="full property suite")
     pc.add_argument("--count", type=int, default=corpus.DEFAULT_COUNT)

@@ -26,9 +26,10 @@ sparse solver no longer dominates.  green_rows takes every beta a caller
 needs at once: the dense systems of one graph go to LAPACK as one stack,
 each solved exactly as it would be alone.
 
-hitting_time_pmf either advances a dense K_z up to 64 steps per NumPy call,
-from powers built by repeated squaring (nonnegative arithmetic, so nothing
-cancels), or steps a CSR K_z singly: whichever a cost model predicts cheaper.
+hitting_time_pmf either advances a dense K_z 2^L steps per NumPy call, from
+powers built by L repeated squarings (nonnegative arithmetic, so nothing
+cancels), or steps a CSR K_z singly: a cost model picks L, or CSR where no L
+is predicted cheaper.
 
 Expectations are reported as math.inf when the walk cannot reach the target
 set; no exception is raised for that case.
@@ -47,9 +48,11 @@ from .graph import GraphError, WeightedGraph
 
 PMF_HORIZON_CAP = 10_000_000
 # Largest graph green_kernel returns as a dense matrix, and most live
-# vertices the pmf steps densely: its up to 7 kept powers of K_z take
-# 7 * 8 m^2 bytes, 224 MB at m = 2000.
+# vertices the pmf steps densely.
 DENSE_VERTEX_LIMIT = 2000
+# Most bytes the dense pmf's kept powers of K_z (and their arrival blocks)
+# may hold at once: 7 powers at m = DENSE_VERTEX_LIMIT, 224 MB.
+_PMF_BYTES = 7 * 8 * DENSE_VERTEX_LIMIT**2
 # Unknowns up to which dense LAPACK beats sparse LU in a solve (it wins to
 # about 120 and loses from about 250).  The pmf chooses by _pmf_doublings.
 _DENSE_MAX = 200
@@ -285,20 +288,18 @@ def effective_resistance(graph: WeightedGraph) -> float:
 class HittingStats:
     """Exact hitting-time distribution summary.
 
-    pmf[k] = P(T = k) for k = 0..horizon; survival_mass = P(T > horizon).
+    pmf[k] = P(T = k) for k < len(pmf), and 0 from there to horizon: the pmf
+    stops where the walk is surely absorbed.  survival_mass = P(T > horizon).
     """
 
     expected: float
     pmf: np.ndarray
     survival_mass: float
-
-    @property
-    def horizon(self) -> int:
-        return len(self.pmf) - 1
+    horizon: int
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """Read-only cdf[k] = P(T <= k): the pmf's running sum, formed once."""
+        """Read-only cdf[k] = P(T <= k) for k < len(pmf): the pmf's running sum."""
         cdf = self.pmf.cumsum()
         cdf.flags.writeable = False
         return cdf
@@ -309,7 +310,7 @@ class HittingStats:
             raise GraphError("cdf_at needs a number, got nan")
         if x < 0:
             return 0.0
-        return float(self.cdf[int(min(x, self.horizon))])
+        return float(self.cdf[int(min(x, len(self.cdf) - 1))])
 
 
 def default_horizon(graph: WeightedGraph, expected: float) -> int:
@@ -319,23 +320,53 @@ def default_horizon(graph: WeightedGraph, expected: float) -> int:
     return min(base, PMF_HORIZON_CAP)
 
 
+def _pmf_cost(m: int, horizon: int, levels: int) -> float:
+    """Predicted ns of the dense pmf over m live vertices with L = levels doublings.
+
+    Doubling i < L, from 2^i to 2^(i+1) steps, costs 4500 + 0.035 m^3 (the
+    product K^(2^i) K^(2^i)) + 0.12 2^i m^2 (a_t @ q over 2^i rows, and its
+    copy): L (4500 + 0.035 m^3) + 0.12 (b - 1) m^2 for b = 2^L.  A block of
+    b steps costs 3000 + 0.3 (b m + m^2), and the horizon takes horizon // b
+    of them plus one per set bit below b.  Fitted to timings at m = 10 to
+    1500 and horizons 200 to 311,480 on a 2-core x86-64 host (2 MiB L2 per
+    core) with one OpenBLAS thread.  0.3 is the block rate once the block
+    outgrows the cache; within it, about 0.12.
+    """
+    b = 1 << levels
+    blocks = horizon // b + (horizon % b).bit_count()
+    return (levels * (4500 + 0.035 * m**3) + 0.12 * (b - 1) * m * m
+            + blocks * (3000 + 0.3 * (b * m + m * m)))
+
+
+def _pmf_bytes(m: int, horizon: int, levels: int) -> int:
+    """Most bytes the powers of K and arrival blocks of L doublings hold at once.
+
+    That is during the last doubling, b = 2^L: the kept powers for the set
+    bits of low = horizon mod b/2, K^(b/2) and K^b, and arrival blocks of
+    low + 2 b rows (the kept ones, A for b/2 steps, its product and A for b).
+    """
+    if not levels:
+        return 8 * m * (m + 1)
+    low = horizon & ((1 << levels - 1) - 1)
+    return 8 * m * (m * (low.bit_count() + 2) + low + (2 << levels))
+
+
 def _pmf_doublings(m: int, nnz: int, horizon: int) -> int | None:
     """Doublings L for the dense blocked pmf, or None where CSR steps are cheaper.
 
-    m live vertices, nnz entries of K_z among them.  The dense path builds
-    b = 2^L <= 64 with L m <= horizon / 2, and only up to DENSE_VERTEX_LIMIT.
-    Predicted costs in ns, from timings at m = 10 to 1500 on a 2-core x86-64
-    host with one OpenBLAS thread: a doubling (an m x m product) 0.025 m^3,
-    a dense block of b steps 3000 + 0.3 (b m + m^2) (0.3 is the rate once K
-    outgrows the cache; within it, about 0.12), a CSR step 6000 + nnz.
+    m live vertices, nnz entries of K_z among them.  L is the argmin of
+    _pmf_cost over L m <= horizon / 2 with _pmf_bytes within _PMF_BYTES
+    (2^L beyond the horizon only adds cost); dense only up to
+    DENSE_VERTEX_LIMIT, and only where that cost is no more than the
+    predicted horizon (6000 + nnz) ns of single CSR steps.
     """
-    levels = min(6, horizon // 2 // m)
-    b = 1 << levels
-    blocks = horizon // b + (horizon % b).bit_count()
-    dense = 0.025 * levels * m**3 + blocks * (3000 + 0.3 * (b * m + m * m))
-    if m > DENSE_VERTEX_LIMIT or dense > horizon * (6000 + nnz):
+    if m > DENSE_VERTEX_LIMIT:
         return None
-    return levels
+    top = min(horizon // 2 // m, max(horizon.bit_length() - 1, 0))
+    costs = {levels: _pmf_cost(m, horizon, levels) for levels in range(top + 1)
+             if _pmf_bytes(m, horizon, levels) <= _PMF_BYTES}
+    levels = min(costs, key=costs.get)
+    return None if costs[levels] > horizon * (6000 + nnz) else levels
 
 
 def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> HittingStats:
@@ -343,15 +374,17 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
 
     The default horizon is max(16 E[T], 4 n^2), capped at PMF_HORIZON_CAP
     = 1e7; a larger or non-integer horizon raises GraphError.  Iteration
-    stops early once the surviving mass underflows to zero.
+    stops early once the surviving mass underflows to zero, and the pmf is
+    stored only up to there: beyond the default horizon its array grows
+    with the steps taken.
 
-    Over m live vertices, a dense block of b = 2^L <= 64 steps sets
+    Over m live vertices, a dense block of b = 2^L steps sets
     pmf[k:k+b] = v A and v = v K^b, A = [a, K a, ..., K^(b-1) a] for the
-    arrival vector a, both from L doublings of about m steps each, with
-    L m <= horizon / 2.  The rest goes in blocks of b/2, ..., 1, one for
-    each set bit of horizon below b; only those blocks are kept.  Where
-    _pmf_doublings predicts the doublings and blocks to cost more than
-    single CSR steps, K is kept sparse and stepped singly.
+    arrival vector a, both from L doublings, with L m <= horizon / 2 and L
+    chosen by _pmf_doublings' cost model.  The rest goes in blocks of b/2,
+    ..., 1, one for each set bit of horizon below b; only those blocks are
+    kept.  Where the model predicts every L to cost more than single CSR
+    steps, K is kept sparse and stepped singly.
     """
     if horizon is not None and (
             isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer))
@@ -383,17 +416,22 @@ def hitting_time_pmf(graph: WeightedGraph, horizon: int | None = None) -> Hittin
                 blocks.pop()
             blocks.append((2 * b, np.vstack([a_t, a_t @ q]), q @ q))
 
-    pmf = np.zeros(horizon + 1)
+    # up to the default horizon at once; past it, grown as the walk survives
+    pmf = np.zeros(min(horizon, default_horizon(graph, expected)) + 1)
     v = np.zeros(m)
     v[np.searchsorted(alive, graph.origin_index)] = 1.0
     k = 1
     for b, a_t, q in reversed(blocks):
         while k + b <= horizon + 1 and v.any():
+            if k + b > len(pmf):
+                pmf = np.concatenate(
+                    [pmf, np.zeros(min(horizon + 1, max(2 * len(pmf), k + b)) - len(pmf))])
             pmf[k:k + b] = a_t @ v
             v = q @ v
             k += b
     survival = float(v.sum())
-    return HittingStats(expected=expected, pmf=pmf, survival_mass=survival)
+    return HittingStats(expected=expected, pmf=pmf[:k].copy() if k < len(pmf) else pmf,
+                        survival_mass=survival, horizon=horizon)
 
 
 @dataclass(slots=True)

@@ -300,8 +300,9 @@ def test_generate_rejects_bad_parameters(capsys):
     ["generate", "concatenated_fast", "--cuts", "16,256", "--max-vertices", "300"],
     ["generate", "tree_line", "--g", "2.0", "--depths", "0,1", "--length", "4"],
     ["simulate", "g.json", "--reference-g", "2"],
+    ["sweep", "--family", "unit_path", "--g", "7", "--n-list", "10"],
 ], ids=["random_n", "fast_path_g_p", "concatenated_cuts_max", "tree_line_float_g",
-        "simulate_graph_reference"])
+        "simulate_graph_reference", "sweep_family_flag"])
 def test_unread_flag_exits_one(argv, capsys):
     # a flag the command does not read, or a fractional tree_line --g: a usage error
     with pytest.raises(SystemExit) as exc:
@@ -378,6 +379,16 @@ def test_simulate_argument_conflicts(path5, capsys):
     assert "graph" in err
 
 
+def test_simulate_record_needs_an_escape_estimator(path5, tmp_path, capsys):
+    # the hitting estimator's CSV does not read --record: a usage error
+    out = tmp_path / "times.csv"
+    for estimator in ([], ["--estimator", "hitting"]):
+        assert run(["simulate", str(path5), "--reps", "5", "--record", "10,20",
+                    *estimator, "--out", str(out)]) == 1
+        assert "--record is read by the escape estimators" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_record_step_one_exits_one(capsys):
     # k log k = 0 at k = 1, so the single-log ratio would be inf
     assert run(["simulate", "--reference-g", "2", "--estimator", "speed",
@@ -401,7 +412,7 @@ def test_simulate_seed_out_of_range_exits_one(path5, capsys):
 
 def test_sweep_table(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert run(["sweep", "--family", "fast_path", "--n-list",
+    assert run(["sweep", "fast_path", "--n-list",
                 "100,1000,10000", "--p", "0", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "family,n,g,closed_form,exact,mean_bound,asymptote,ratio"
@@ -422,8 +433,7 @@ def test_sweep_table(tmp_path):
 ], ids=["fast_path", "unit_path"])
 def test_sweep_mean_bound_is_the_weight_ratio_bound(family, sizes, graph, tmp_path):
     out = tmp_path / "sweep.csv"
-    assert run(["sweep", "--family", family, "--n-list", sizes,
-                "--out", str(out)]) == 0
+    assert run(["sweep", family, "--n-list", sizes, "--out", str(out)]) == 0
     for line in out.read_text().splitlines()[1:]:
         row = line.split(",")
         [check] = [c for c in bounds.check_theorem1(graph(int(row[1]))).checks
@@ -433,7 +443,7 @@ def test_sweep_mean_bound_is_the_weight_ratio_bound(family, sizes, graph, tmp_pa
 
 def test_sweep_skips_exact_beyond_cap(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert run(["sweep", "--family", "unit_path", "--n-list", "10,100",
+    assert run(["sweep", "unit_path", "--n-list", "10,100",
                 "--max-vertices", "50", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert rows[0][4] != ""
@@ -441,14 +451,44 @@ def test_sweep_skips_exact_beyond_cap(tmp_path):
 
 
 def test_sweep_weight_overflow_exits_one(capsys):
-    assert run(["sweep", "--family", "fast_path", "--g", "2",
-                "--n-list", "2000"]) == 1
+    assert run(["sweep", "fast_path", "--g", "2", "--n-list", "2000"]) == 1
     assert "weights overflow float range" in capsys.readouterr().err
 
 
 def test_sweep_requires_n_list(capsys):
-    assert run(["sweep"]) == 1
-    assert "--n-list" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "unit_path"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --n-list" in capsys.readouterr().err
+    assert run(["sweep", "fast_path", "--n-list", ""]) == 1
+    assert "--n-list is required" in capsys.readouterr().err
+
+
+def test_sweep_unit_path_rejects_g(capsys):
+    # --g is fast_path's drift; unit_path has none to set
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "unit_path", "--g", "7", "--n-list", "10"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --g 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("fast_path", {"--n-list", "--g", "--p", "--max-vertices"}),
+    ("unit_path", {"--n-list", "--p", "--max-vertices"}),
+])
+def test_sweep_family_help_names_only_its_flags(family, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", family, "--help"])
+    assert exc.value.code == 0
+    found = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert found == flags | {"--help", "--out"}
+
+
+def test_sweep_requires_a_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--n-list", "10"])
+    assert exc.value.code == 1
+    assert "usage: hitbounds sweep" in capsys.readouterr().err
 
 
 def test_corpus_check_small(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import hitbounds
 from hitbounds import bounds, corpus, engine
 from hitbounds.generators import (
-    fast_path, poly_growth_drift, random_graph, tree_line, unit_path)
+    biased_line, fast_path, poly_growth_drift, random_graph, tree_line, unit_path)
 from hitbounds.graph import GraphError, WeightedGraph
 
 
@@ -261,8 +262,9 @@ def pmf_doublings(g, horizon=None):
 def test_pmf_path_chosen_by_cost():
     # one doubling only: every 2-step block is a dense 1499 x 1499 matvec
     assert pmf_doublings(fast_path(1500, 1.01), 4000) is None
-    assert pmf_doublings(unit_path(300)) == 6
-    assert pmf_doublings(tree_line(3, [4, 4], 7), 8000) == 6
+    # the cost model's argmin
+    assert pmf_doublings(unit_path(300)) == 11  # horizon 16 E[T] = 1,440,000
+    assert pmf_doublings(tree_line(3, [4, 4], 7), 8000) == 7
     # corpus graphs (at most 12 live vertices) stay dense at every horizon
     horizons = [*range(2000), 2_000_000, engine.PMF_HORIZON_CAP]
     for m in range(1, 13):
@@ -271,8 +273,98 @@ def test_pmf_path_chosen_by_cost():
                        for h in horizons)
     # kept powers are capped at DENSE_VERTEX_LIMIT vertices
     m = engine.DENSE_VERTEX_LIMIT
-    assert engine._pmf_doublings(m, m * m, 10**6) == 6
+    assert engine._pmf_doublings(m, m * m, 10**6) == 10
     assert engine._pmf_doublings(m + 1, (m + 1) ** 2, 10**6) is None
+
+
+def test_pmf_doublings_is_the_cost_argmin():
+    # every L with L m <= horizon / 2 and its powers within the byte budget;
+    # the search's own cut at 2^L <= horizon drops only costlier L
+    for m in (1, 5, 12, 50, 120, 300, 1000, engine.DENSE_VERTEX_LIMIT):
+        for horizon in (0, 1, 7, 100, 4000, 57_600, 311_480, 2**20 - 1,
+                        engine.PMF_HORIZON_CAP):
+            costs = {levels: engine._pmf_cost(m, horizon, levels)
+                     for levels in range(min(horizon // 2 // m, 64) + 1)
+                     if engine._pmf_bytes(m, horizon, levels) <= engine._PMF_BYTES}
+            best = min(costs, key=costs.get)
+            for nnz in (2 * m - 2, m * m):
+                levels = engine._pmf_doublings(m, nnz, horizon)
+                if levels is None:
+                    assert costs[best] > horizon * (6000 + nnz), (m, horizon, nnz)
+                else:
+                    assert levels == best, (m, horizon, nnz)
+                    assert costs[best] <= horizon * (6000 + nnz)
+
+
+def held_bytes(m, horizon, levels):
+    """Peak bytes of powers of K and arrival blocks, replaying the doubling loop."""
+    blocks = [1]  # b of each kept block: an m x m power and b arrival rows
+    peak = 8 * m * (m + 1)
+    for i in range(levels):
+        b = blocks[-1]
+        if not horizon >> i & 1:
+            blocks.pop()
+        # kept blocks, the current one if dropped, a_t @ q and the new block
+        held = sum(m * m + r * m for r in blocks) + (0 if b in blocks else m * m + b * m)
+        held += b * m + m * m + 2 * b * m
+        peak = max(peak, 8 * held)
+        blocks.append(2 * b)
+    return peak
+
+
+def test_pmf_doublings_keep_powers_within_budget():
+    m = engine.DENSE_VERTEX_LIMIT
+    budget = 7 * 8 * m * m  # 224 MB: 7 powers of K at DENSE_VERTEX_LIMIT
+    assert engine._PMF_BYTES == budget
+    bound = 0
+    for horizon in (4000, 10**6, 2**16 - 1, 2**20 - 1, 2**23 - 1, engine.PMF_HORIZON_CAP):
+        for nnz in (2 * m - 2, m * m):
+            levels = engine._pmf_doublings(m, nnz, horizon)
+            if levels is not None:
+                assert held_bytes(m, horizon, levels) <= budget
+                assert engine._pmf_bytes(m, horizon, levels) == held_bytes(m, horizon, levels)
+        # the rule binds: the unbudgeted argmin would hold more
+        free = min(range(min(horizon // 2 // m, 64) + 1),
+                   key=lambda levels: engine._pmf_cost(m, horizon, levels))
+        bound += held_bytes(m, horizon, free) > budget
+    assert bound
+
+
+def test_deep_blocks_match_stepping():
+    g = unit_path(50)  # default horizon 40,000
+    assert pmf_doublings(g) >= 8
+    assert_pmf_matches_stepping(g, None)
+
+
+def test_pmf_mass_balance_on_analyze_graphs():
+    # the analyze benchmark's five graphs at its horizons: worst gap 7.1e-14
+    for g, horizon in [(unit_path(50), None), (unit_path(60), None),
+                       (fast_path(120, poly_growth_drift(120, 1.0)), None),
+                       (biased_line(40, 1.1, tail=40), None),
+                       (tree_line(3, [4, 4], 7), 8000)]:
+        stats = engine.hitting_time_pmf(g.normalized(), horizon=horizon)
+        assert abs(float(stats.pmf.sum()) + stats.survival_mass - 1.0) <= 1e-13
+
+
+def test_pmf_stores_no_more_than_the_walk_reaches():
+    # unit_path(2) at the cap: the mass underflows to 0 after step 2148
+    g = unit_path(2)
+    engine.expected_hitting_time(g)
+    tracemalloc.start()
+    try:
+        stats = engine.hitting_time_pmf(g, horizon=engine.PMF_HORIZON_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # not the 80 MB of the whole horizon
+    assert stats.horizon == engine.PMF_HORIZON_CAP
+    assert 2148 < len(stats.pmf) < 2**20
+    assert np.flatnonzero(stats.pmf)[-1] == 2148
+    assert stats.survival_mass == 0.0
+    whole = stats.cdf[-1]
+    assert whole == pytest.approx(1.0, abs=1e-15)
+    for x in (2148, len(stats.pmf), stats.horizon, math.inf):
+        assert stats.cdf_at(x) == whole
 
 
 def test_pmf_stops_once_walk_is_absorbed():

@@ -52,7 +52,7 @@ def test_pmf_matches_exact_oracle(graphs, horizon):
 
 def test_pmf_oracle_cases_reach_both_branches():
     # unit_path(n) has n live vertices and 2 (n - 1) live entries of K_z
-    assert engine._pmf_doublings(20, 38, 400) == 6  # six doublings, 64-step blocks
+    assert engine._pmf_doublings(20, 38, 400) == 7  # seven doublings, 128-step blocks
     assert engine._pmf_doublings(150, 298, 100) is None  # single CSR steps
 
 
